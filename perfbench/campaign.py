@@ -21,7 +21,7 @@ import os
 import statistics
 import time
 
-from perfbench import checks
+from perfbench import checks, common
 from perfbench.common import REQUEST_FAILURES, Tally, proc_peak_rss_mb, windowed_percentile
 from perfbench.tracing import ATTACK_LAYERS, Tracer, install
 from repro.adversary.budget import AttackBudget
@@ -111,8 +111,9 @@ async def _round(config: dict, snapshot: bytes, seed: int, tally: Tally, tracer:
     budget = AttackBudget()
     honest = config["honest"]
     target = config["target_shard"]
-    common = dict(honest_clients=honest["clients"], batch=honest["batch"], target_shard=target)
+    shared = dict(honest_clients=honest["clients"], batch=honest["batch"], target_shard=target)
     installation = install(tracer, ATTACK_LAYERS) if tracer is not None else None
+    cpu0, wall0 = time.process_time(), time.perf_counter()
     try:
         pollution = await AdversarialTrafficDriver(
             gateway, seed=seed, transport=transport, budget=budget,
@@ -120,7 +121,7 @@ async def _round(config: dict, snapshot: bytes, seed: int, tally: Tally, tracer:
         ).run(
             honest_inserts=honest["inserts"], honest_queries=honest["queries"],
             pollution_inserts=config["pollution_items"], ghost_queries=0,
-            probe_queries=0, **common,
+            probe_queries=0, **shared,
         )
         ghosts = await AdversarialTrafficDriver(
             gateway, seed=seed + 1, transport=transport, budget=budget,
@@ -128,11 +129,12 @@ async def _round(config: dict, snapshot: bytes, seed: int, tally: Tally, tracer:
         ).run(
             honest_inserts=0, honest_queries=honest["queries"],
             pollution_inserts=0, ghost_queries=config["ghost_items"],
-            ghost_min_fill=0.3, probe_queries=0, **common,
+            ghost_min_fill=0.3, probe_queries=0, **shared,
         )
     finally:
         if installation is not None:
             installation.remove()
+    cpu_s, wall_s = time.process_time() - cpu0, time.perf_counter() - wall0
     # Probe and checker, outside the campaign clock and the trace.
     probe = UrlFactory(seed=seed ^ 0xF0F0).urls(config["probe_queries"])
     probe_fp = sum(await gateway.query_batch(probe, client="probe"))
@@ -145,6 +147,8 @@ async def _round(config: dict, snapshot: bytes, seed: int, tally: Tally, tracer:
     trials = sum(s.trials for s in spend.values())
     return {
         "elapsed_s": elapsed,
+        "cpu_s": cpu_s,
+        "wall_s": wall_s,
         "operations": pollution.operations + ghosts.operations,
         "latencies": transport.latencies,
         "counts": {
@@ -189,19 +193,19 @@ async def _rounds_for(seconds, config, snapshot, seed, first, tally, tracer) -> 
 def run(config: dict, seed: int, seconds: float, trace: bool, root: str, out_dir: str) -> dict:
     pools = prefill_pools(config, seed)
     setups = []
-    for _ in range(1 if trace else config["setup_reps"]):
+    for _ in range(1 if trace else common.SETUP_REPS):
         elapsed, snapshot = _setup(config, pools)
         setups.append(elapsed)
     # Set-up objects stay out of the measured collections.
     gc.collect()
     gc.freeze()
-    tally = Tally()
+    # failed_ratio covers the untraced rounds only.
+    tallies = {"untraced": Tally()}
     requested = {"pollution": config["pollution_items"], "ghost": config["ghost_items"]}
     share = 0.5 if trace else 1.0
-    cpu0, wall0 = time.process_time(), time.perf_counter()
-    rounds = asyncio.run(_rounds_for(seconds * share, config, snapshot, seed, 0, tally, None))
-    cpu_share = (time.process_time() - cpu0) / (time.perf_counter() - wall0)
+    rounds = asyncio.run(_rounds_for(seconds * share, config, snapshot, seed, 0, tallies["untraced"], None))
     windows = [r["latencies"] for r in rounds]
+    cpu_s = sum(r["cpu_s"] for r in rounds)
     result = {
         "setup_s": statistics.median(setups),
         **_rates(rounds),
@@ -210,18 +214,17 @@ def run(config: dict, seed: int, seconds: float, trace: bool, root: str, out_dir
         "latency_p99_ms": windowed_percentile(windows, 0.99) * 1e3,
         "latency_samples": sum(len(w) for w in windows),
         "rounds": len(rounds),
-        "server.cpu_share": cpu_share,
-        "loadgen.cpu_share": cpu_share,
-        "server.cpu_us_per_item": (
-            sum(r["elapsed_s"] for r in rounds) * cpu_share * 1e6
-            / sum(r["operations"] for r in rounds)
-        ),
+        # One process holds the filters, the attacker and the honest
+        # clients; its CPU time over the campaigns' wall time.
+        "server.cpu_share": cpu_s / sum(r["wall_s"] for r in rounds),
+        "server.cpu_us_per_item": cpu_s * 1e6 / sum(r["operations"] for r in rounds),
     }
     if trace:
         tracer = Tracer()
+        tallies["traced"] = Tally()
         cpu0 = time.process_time()
         traced = asyncio.run(
-            _rounds_for(seconds * share, config, snapshot, seed, len(rounds), tally, tracer)
+            _rounds_for(seconds * share, config, snapshot, seed, len(rounds), tallies["traced"], tracer)
         )
         cpu_ns = (time.process_time() - cpu0) * 1e9
         tracer.write(os.path.join(out_dir, "campaign.spans.json"))
@@ -238,17 +241,12 @@ def run(config: dict, seed: int, seconds: float, trace: bool, root: str, out_dir
         })
     result["peak_rss_mb"] = proc_peak_rss_mb()
     # The first round once more: a seeded campaign must repeat its counts.
-    replay = asyncio.run(_round(config, snapshot, _campaign_seed(seed, 0), Tally(), None))
+    tallies["replay"] = Tally()
+    replay = asyncio.run(_round(config, snapshot, _campaign_seed(seed, 0), tallies["replay"], None))
     first = rounds[0]["counts"]
     failures = checks.check_campaign(requested, replay["counts"], first)
     for r in rounds:
         failures += checks.check_campaign(requested, r["counts"], None)
     result.update({f"counts.{key}": value for key, value in first.items()})
-    result["failed_ratio"] = tally.ratio
-    return {
-        "metrics": result,
-        "attempted": tally.attempted,
-        "failed": tally.failed,
-        "failures": failures,
-        "failed_by_kind": tally.by_kind,
-    }
+    result["failed_ratio"] = tallies["untraced"].ratio
+    return {"metrics": result, "tallies": tallies, "failures": failures}

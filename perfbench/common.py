@@ -12,6 +12,9 @@ from repro.service.admission import RateLimited
 #: Exceptions a request may end with that count as failed or refused.
 REQUEST_FAILURES = (RateLimited, ProtocolError, BackendError, NotOwner, ParameterError)
 
+#: Set-ups per untraced run; ``setup_s`` is their median.
+SETUP_REPS = 5
+
 _TICKS = os.sysconf("SC_CLK_TCK")
 
 

@@ -91,10 +91,11 @@ def per_layer(kind: str, config: dict, m: dict) -> dict:
         "service.admission.refused": (get("service.admission")["items"], "count"),
         "server.cpu_share": (m["server.cpu_share"], "ratio"),
         "server.cpu_us_per_item": (m["server.cpu_us_per_item"], "us"),
-        "loadgen.cpu_share": (m["loadgen.cpu_share"], "ratio"),
+        # 0 on attack-campaign, which has no separate load process.
+        "loadgen.cpu_share": (m.get("loadgen.cpu_share", 0.0), "ratio"),
         "loadgen.lag_ms_p99": (m.get("loadgen.lag_ms_p99", 0.0), "ms"),
         "unattributed.share": (m["unattributed.share"], "ratio"),
-        "loadgen.unattributed.share": (m.get("loadgen.unattributed.share", m["unattributed.share"]), "ratio"),
+        "loadgen.unattributed.share": (m.get("loadgen.unattributed.share", 0.0), "ratio"),
         "trace.overhead": (m["trace.overhead"], "ratio"),
         "attack_trials_per_s": (m.get("attack_trials_per_s", 0.0), "1/s"),
         "attack_items_per_s": (m.get("attack_items_per_s", 0.0), "1/s"),
@@ -162,15 +163,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name} = {value:.6g} {unit}")
     for name, (value, unit) in metrics.items():
         print(f"{name} = {value:.6g} {unit}")
-    for kind, count in outcome["failed_by_kind"].items():
-        print(f"failed requests: {count} x {kind}")
+    tallies = outcome["tallies"]
+    for phase, tally in tallies.items():
+        for kind, count in tally.by_kind.items():
+            print(f"failed requests ({phase}): {count} x {kind}")
     for failure in outcome["failures"]:
         print(f"CHECK FAILED: {failure}")
     correct = not outcome["failures"]
     print(json.dumps({
         "correct": correct,
-        "attempted": outcome["attempted"],
-        "failed": outcome["failed"],
+        "attempted": sum(tally.attempted for tally in tallies.values()),
+        "failed": sum(tally.failed for tally in tallies.values()),
         "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()},
     }))
     return 0 if correct else 1

@@ -19,16 +19,20 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
 
-from perfbench import campaign, checks, serving, tracing  # noqa: E402
+from perfbench import campaign, checks, common, serving, tracing  # noqa: E402
 from perfbench.run import per_layer  # noqa: E402
 
 with open(os.path.join(ROOT, "perfbench", "workloads.json"), encoding="utf-8") as _handle:
     WORKLOADS = json.load(_handle)["workloads"]
 
 
+@pytest.fixture(autouse=True)
+def _one_setup(monkeypatch):
+    monkeypatch.setattr(common, "SETUP_REPS", 1)
+
+
 def _tiny(name: str) -> dict:
     config = copy.deepcopy(WORKLOADS[name])
-    config["setup_reps"] = 1
     if config["kind"] == "serving":
         config.update(prefill=300, miss_pool=200, fresh_pool=200, open_rate=50)
         config["service"]["shard_m"] = 1 << 18
@@ -50,7 +54,9 @@ def test_tiny_serving_run_completes(tmp_path, name, trace):
     config = _tiny(name)
     outcome = asyncio.run(serving.run(config, 3, 1.0, trace, ROOT, str(tmp_path)))
     assert outcome["failures"] == []
-    assert outcome["failed"] == 0 and outcome["attempted"] > 0
+    tallies = outcome["tallies"]
+    assert set(tallies) == {"set-up and warm-up", "untraced"} | ({"traced"} if trace else set())
+    assert all(tally.failed == 0 and tally.attempted > 0 for tally in tallies.values())
     metrics = outcome["metrics"]
     assert metrics["items_per_s"] > 0 and metrics["setup_s"] > 0
     assert metrics["checked_inserts"] > 0
@@ -65,6 +71,9 @@ def test_tiny_campaign_run_completes(tmp_path, trace):
     config = _tiny("attack-campaign")
     outcome = campaign.run(config, 3, 0.5, trace, ROOT, str(tmp_path))
     assert outcome["failures"] == []
+    tallies = outcome["tallies"]
+    assert set(tallies) == {"untraced", "replay"} | ({"traced"} if trace else set())
+    assert all(tally.failed == 0 and tally.attempted > 0 for tally in tallies.values())
     metrics = outcome["metrics"]
     assert metrics["counts.crafted"] == 4
     assert metrics["counts.ghost_hits"] == 2
@@ -208,8 +217,25 @@ def test_self_time_excludes_children_and_suspension():
     assert child_stats["calls"] == 1 and child_stats["items"] == 3
     # The 20 ms sleep is suspension, not the parent's work.
     assert parent_stats["incl_ns"] < 10_000_000
-    # Self time excludes the child span and what tracing the child cost.
+    # Self time excludes the child span, what tracing the child cost the
+    # parent, and the tracer's own work inside each span: one synchronous
+    # span for the child, two resumed segments (before and after the
+    # sleep) for the parent.
+    assert child_stats["self_ns"] == child_stats["incl_ns"] - tracer.span_overhead_ns
     assert parent_stats["self_ns"] == (
         parent_stats["incl_ns"] - child_stats["incl_ns"] - tracer.child_overhead_ns
+        - 2 * tracer.segment_overhead_ns
     )
     assert tracer.covered_ns == parent_stats["incl_ns"]
+
+
+def test_spans_past_the_cap_are_counted_as_dropped(tmp_path):
+    tracer = tracing.Tracer(keep=2, calibrate=False)
+    noop = tracing._wrap_sync(lambda: None, tracer, "noop", tracing._one)
+    for _ in range(5):
+        noop()
+    path = tmp_path / "spans.json"
+    tracer.write(path)
+    doc = json.loads(path.read_text())
+    assert len(doc["spans"]) == 2 and doc["keep"] == 2 and doc["dropped"] == 3
+    assert doc["layers"]["noop"]["calls"] == 5

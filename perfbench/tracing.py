@@ -7,13 +7,14 @@ global imported by name, such as ``encode_request_frame`` in
 returned :class:`Installation` puts every original back.
 
 Spans nest on one stack per process.  A layer's self time is its span
-minus the part its child spans cover; the tracer accumulates that online
-per layer, and also keeps the first ``keep`` raw spans in memory so they
-can be written out when the run ends.  Coroutines are traced per resumed
-segment (each ``send`` into the coroutine is one synchronous span), so
-interleaved requests on one event loop never corrupt the stack and time
-spent suspended is not charged to the layer.  Nothing traced here runs
-off the main thread.
+minus the part its child spans cover, minus the tracer's own calibrated
+cost inside the span; the tracer accumulates that online per layer, and
+also keeps the first ``keep`` raw spans in memory so they can be written
+out, with the number dropped past the cap, when the run ends.
+Coroutines are traced per resumed segment (each ``send`` into the
+coroutine is one synchronous span), so interleaved requests on one event
+loop never corrupt the stack and time spent suspended is not charged to
+the layer.  Nothing traced here runs off the main thread.
 """
 
 from __future__ import annotations
@@ -38,15 +39,20 @@ class Tracer:
     """Per-process span recorder with online self-time accounting."""
 
     def __init__(self, keep: int = 20_000, calibrate: bool = True) -> None:
-        #: What one child span's begin/end costs its parent, in ns: the
-        #: parent's self time excludes it, since it is the tracer's work.
-        self.child_overhead_ns = self._calibrate() if calibrate else 0
+        #: The tracer's own cost, in ns, charged to no layer: what one
+        #: child span costs its parent outside the child's span, and what
+        #: tracing costs inside one synchronous span and inside one resumed
+        #: coroutine or generator segment.
+        self.child_overhead_ns, self.span_overhead_ns, self.segment_overhead_ns = (
+            _calibrate() if calibrate else (0, 0, 0)
+        )
         #: layer -> [calls, inclusive ns, self ns, items]
         self.stats: dict[str, list[int]] = {}
         #: Wall time covered by root spans (no enclosing span).
         self.covered_ns = 0
         self.spans: list[tuple[str, int, int, str | None]] = []
         self.keep = keep
+        self.dropped = 0
         self._stack: list[list] = []
         #: Coalescer submissions waiting for their merged backend call:
         #: (shard, op) -> deque of [submit ns, items still unserved].
@@ -54,22 +60,10 @@ class Tracer:
         #: Submit-to-backend-call waits, ns, one per submission.
         self.coalesce_waits: list[int] = []
 
-    @staticmethod
-    def _calibrate(rounds: int = 5, calls: int = 2000) -> int:
-        """Median over ``rounds`` of (wall time of ``calls`` calls to a
-        wrapped no-op, minus their measured span durations) / ``calls``."""
-        costs = []
-        for _ in range(rounds):
-            probe = Tracer(keep=0, calibrate=False)
-            noop = _wrap_sync(lambda: None, probe, "probe", _one)
-            start = perf_counter_ns()
-            for _ in range(calls):
-                noop()
-            costs.append((perf_counter_ns() - start - probe.covered_ns) // calls)
-        return sorted(costs)[rounds // 2]
-
-    def begin(self, name: str) -> None:
-        self._stack.append([name, perf_counter_ns(), 0])
+    def begin(self, name: str, overhead_ns: int) -> None:
+        """Open a span; ``overhead_ns`` of it is the tracer's own work and
+        is left out of the layer's self time."""
+        self._stack.append([name, perf_counter_ns(), overhead_ns])
 
     def end(self, calls: int = 1, items: int = 0) -> None:
         name, start, child = self._stack.pop()
@@ -91,22 +85,30 @@ class Tracer:
             parent = None
         if len(self.spans) < self.keep:
             self.spans.append((name, start, now, parent))
+        else:
+            self.dropped += 1
+
+    def _charge_parent(self, since: int) -> None:
+        """Leave tracer bookkeeping since ``since`` out of the enclosing
+        span's self time."""
+        if self._stack:
+            self._stack[-1][2] += perf_counter_ns() - since
 
     # -- coalescer queue wait -------------------------------------------
 
     def note_submit(self, shard: int, op: str, items: int) -> None:
+        now = perf_counter_ns()
         queue = self._submitted.get((shard, op))
         if queue is None:
             queue = self._submitted[(shard, op)] = deque()
-        queue.append([perf_counter_ns(), items])
+        queue.append([now, items])
+        self._charge_parent(now)
 
     def note_backend_call(self, shard: int, op: str, items: int) -> None:
         """A merged backend call starts: settle the submissions it serves
         (the coalescer flushes each (shard, op) queue in FIFO order)."""
-        queue = self._submitted.get((shard, op))
-        if not queue:
-            return
         now = perf_counter_ns()
+        queue = self._submitted.get((shard, op))
         while items > 0 and queue:
             head = queue[0]
             served = min(head[1], items)
@@ -115,6 +117,7 @@ class Tracer:
             if head[1] == 0:
                 queue.popleft()
                 self.coalesce_waits.append(now - head[0])
+        self._charge_parent(now)
 
     # -- output ---------------------------------------------------------
 
@@ -130,10 +133,14 @@ class Tracer:
         }
 
     def write(self, path) -> None:
-        """Write the per-layer summary and the kept raw spans
-        ``[layer, start ns, end ns, parent layer]`` as JSON."""
+        """Write the per-layer summary, the kept raw spans
+        ``[layer, start ns, end ns, parent layer]`` and how many spans
+        past ``keep`` were counted in the summary but not kept, as JSON."""
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump({**self.summary(), "spans": self.spans}, handle)
+            json.dump(
+                {**self.summary(), "spans": self.spans, "keep": self.keep, "dropped": self.dropped},
+                handle,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -154,11 +161,12 @@ class _TracedAwaitable:
 
     def __await__(self):
         tracer, name = self.tracer, self.name
+        cost = tracer.segment_overhead_ns
         inner = self.coro.__await__()
         value = None
         error: BaseException | None = None
         while True:
-            tracer.begin(name)
+            tracer.begin(name, cost)
             try:
                 if error is not None:
                     yielded = inner.throw(error)
@@ -194,11 +202,11 @@ def _one(args, kwargs) -> int:
 
 
 def _wrap_sync(fn, tracer: Tracer, name: str, count):
-    begin, end = tracer.begin, tracer.end
+    begin, end, cost = tracer.begin, tracer.end, tracer.span_overhead_ns
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        begin(name)
+        begin(name, cost)
         try:
             return fn(*args, **kwargs)
         finally:
@@ -209,11 +217,11 @@ def _wrap_sync(fn, tracer: Tracer, name: str, count):
 
 def _wrap_admit(fn, tracer: Tracer, name: str, count):
     """``ClientRateLimiter.admit``: the layer's items are its refusals."""
-    begin, end = tracer.begin, tracer.end
+    begin, end, cost = tracer.begin, tracer.end, tracer.span_overhead_ns
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        begin(name)
+        begin(name, cost)
         admitted = True
         try:
             admitted = fn(*args, **kwargs)
@@ -234,9 +242,9 @@ def _wrap_async(fn, tracer: Tracer, name: str, count):
 
 def _traced_iter(inner, tracer: Tracer, name: str):
     step = inner.__next__
-    begin, end = tracer.begin, tracer.end
+    begin, end, cost = tracer.begin, tracer.end, tracer.segment_overhead_ns
     while True:
-        begin(name)
+        begin(name, cost)
         try:
             item = step()
         except StopIteration:
@@ -284,6 +292,95 @@ def _wrap_backend(op: str):
         return wrapper
 
     return make
+
+
+# ----------------------------------------------------------------------
+# Calibration
+# ----------------------------------------------------------------------
+
+
+class _Suspend:
+    """Awaitable that suspends once, as a coroutine awaiting I/O does."""
+
+    def __await__(self):
+        yield
+
+
+def _noop(arg) -> None:
+    return None
+
+
+async def _noop_coro(arg) -> None:
+    await _Suspend()
+
+
+def _drive(awaitables) -> None:
+    """Run each two-segment awaitable to completion, one send a segment."""
+    for awaitable in awaitables:
+        send = awaitable.__await__().send
+        send(None)
+        try:
+            send(None)
+        except StopIteration:
+            pass
+
+
+def _bare_ns(arg, calls: int) -> tuple[int, int]:
+    """Summed durations, each bracketed by two clock reads as a span is,
+    of ``calls`` bare no-op calls and of ``2 * calls`` bare coroutine
+    segments."""
+    call_ns = 0
+    for _ in range(calls):
+        start = perf_counter_ns()
+        _noop(arg)
+        call_ns += perf_counter_ns() - start
+    segment_ns = 0
+    for coro in [_noop_coro(arg) for _ in range(calls)]:
+        send = coro.send
+        start = perf_counter_ns()
+        send(None)
+        segment_ns += perf_counter_ns() - start
+        start = perf_counter_ns()
+        try:
+            send(None)
+        except StopIteration:
+            pass
+        segment_ns += perf_counter_ns() - start
+    return call_ns, segment_ns
+
+
+def _calibrate(rounds: int = 5, calls: int = 2000) -> tuple[int, int, int]:
+    """The tracer's own cost in ns, each the median over ``rounds``:
+
+    * outside a span, charged to the parent: wall time of calls to a
+      wrapped no-op, minus the loop and their recorded spans;
+    * inside a synchronous span: the recorded span of a wrapped no-op
+      minus the same call timed bare;
+    * inside a coroutine segment: the same for the segments of a wrapped
+      coroutine that suspends once.
+    """
+    arg = [None]
+    outside, inside, segment = [], [], []
+    for _ in range(rounds):
+        call_ns, segment_ns = _bare_ns(arg, calls)
+        probe = Tracer(keep=0, calibrate=False)
+        wrapped = _wrap_sync(_noop, probe, "probe", _items_arg(0))
+        start = perf_counter_ns()
+        for _ in range(calls):
+            wrapped(arg)
+        wall = perf_counter_ns() - start
+        start = perf_counter_ns()
+        for _ in range(calls):
+            pass
+        wall -= perf_counter_ns() - start
+        outside.append((wall - probe.covered_ns) // calls)
+        inside.append((probe.covered_ns - call_ns) // calls)
+        probe = Tracer(keep=0, calibrate=False)
+        wrapped_coro = _wrap_async(_noop_coro, probe, "probe", _items_arg(0))
+        _drive([wrapped_coro(arg) for _ in range(calls)])
+        segment.append((probe.covered_ns - segment_ns) // (2 * calls))
+    middle = rounds // 2
+    return tuple(max(sorted(costs)[middle], 0) for costs in (outside, inside, segment))
 
 
 # (layer, module, owner attribute or None for a module global, name,
