@@ -21,7 +21,7 @@ import os
 import statistics
 import time
 
-from perfbench import checks, common
+from perfbench import checks, common, speed
 from perfbench.common import REQUEST_FAILURES, Tally, proc_peak_rss_mb, windowed_percentile
 from perfbench.tracing import ATTACK_LAYERS, Tracer, install
 from repro.adversary.budget import AttackBudget
@@ -78,15 +78,16 @@ def prefill_pools(config: dict, seed: int) -> list[list[str]]:
     return pools
 
 
-def _setup(config: dict, pools: list[list[str]]) -> tuple[float, bytes]:
+async def _setup(config: dict, pools: list[list[str]]) -> tuple[float, float, bytes]:
     """Build the gateway and prefill every shard to ``prefill_fill``
     exactly (to within one small batch), so crafting costs the same for
-    every seed: the timed set-up."""
+    every seed: the timed set-up.  Returns its seconds, the machine's
+    slowness meanwhile, and the snapshot."""
+    sampler = speed.Sampler()
     start = time.perf_counter()
     gateway = MembershipGateway.from_config(ServiceConfig(**config["service"]))
     target = config["prefill_fill"]
-
-    async def fill() -> None:
+    try:
         for shard, pool in enumerate(pools):
             for i in range(0, len(pool), PREFILL_BATCH):
                 if gateway.shard_state(shard).fill_ratio >= target:
@@ -94,13 +95,11 @@ def _setup(config: dict, pools: list[list[str]]) -> tuple[float, bytes]:
                 await gateway.insert_batch(pool[i : i + PREFILL_BATCH], client="prefill")
             else:
                 raise RuntimeError(f"prefill pool too small for shard {shard}")
-
-    try:
-        asyncio.run(fill())
         snapshot = gateway.export_snapshot()
     finally:
         gateway.close()
-    return time.perf_counter() - start, snapshot
+    elapsed = time.perf_counter() - start
+    return elapsed, speed.slowness(await sampler.stop()), snapshot
 
 
 async def _round(config: dict, snapshot: bytes, seed: int, tally: Tally, tracer: Tracer | None) -> dict:
@@ -168,12 +167,19 @@ async def _round(config: dict, snapshot: bytes, seed: int, tally: Tally, tracer:
 
 def _rates(rounds: list[dict]) -> dict:
     """Rates over all rounds' totals: each round draws its own campaign,
-    so the totals average out how lucky one seed's brute force is."""
-    elapsed = sum(r["elapsed_s"] for r in rounds)
+    so the totals average out how lucky one seed's brute force is.  Each
+    round's time is scaled to the reference machine speed by the
+    yardstick samples taken while it ran."""
+    elapsed = sum(r["elapsed_s"] / r["slowness"] for r in rounds)
+    trials = sum(r["counts"]["trials"] for r in rounds)
     return {
-        "attack_trials_per_s": sum(r["counts"]["trials"] for r in rounds) / elapsed,
+        "attack_trials_per_s": trials / elapsed,
         "attack_items_per_s": sum(r["counts"]["crafted"] for r in rounds) / elapsed,
-        "items_per_s": sum(r["operations"] for r in rounds) / elapsed,
+        # Every budget trial is one candidate item hashed and tested
+        # against the filters' state, the attacker's membership answer.
+        "items_per_s": trials / elapsed,
+        "raw_items_per_s": trials / sum(r["elapsed_s"] for r in rounds),
+        "slowness": sum(r["elapsed_s"] for r in rounds) / elapsed,
     }
 
 
@@ -183,19 +189,27 @@ def _campaign_seed(seed: int, index: int) -> int:
 
 async def _rounds_for(seconds, config, snapshot, seed, first, tally, tracer) -> list[dict]:
     rounds: list[dict] = []
+    sampler = speed.Sampler()
     start = time.perf_counter()
     while not rounds or time.perf_counter() - start < seconds:
         index = first + len(rounds)
+        began = time.perf_counter()
         rounds.append(await _round(config, snapshot, _campaign_seed(seed, index), tally, tracer))
+        last = rounds[-1]
+        last["slowness"], last["yardstick_s"] = sampler.window(began, time.perf_counter())
+        # The program's CPU time, without the yardstick's.
+        last["cpu_s"] -= last["yardstick_s"]
+    await sampler.stop()
     return rounds
 
 
 def run(config: dict, seed: int, seconds: float, trace: bool, root: str, out_dir: str) -> dict:
     pools = prefill_pools(config, seed)
-    setups = []
+    setups, raw_setups = [], []
     for _ in range(1 if trace else common.SETUP_REPS):
-        elapsed, snapshot = _setup(config, pools)
-        setups.append(elapsed)
+        elapsed, slowness, snapshot = asyncio.run(_setup(config, pools))
+        raw_setups.append(elapsed)
+        setups.append(elapsed / slowness)
     # Set-up objects stay out of the measured collections.
     gc.collect()
     gc.freeze()
@@ -208,6 +222,7 @@ def run(config: dict, seed: int, seconds: float, trace: bool, root: str, out_dir
     cpu_s = sum(r["cpu_s"] for r in rounds)
     result = {
         "setup_s": statistics.median(setups),
+        "raw_setup_s": statistics.median(raw_setups),
         **_rates(rounds),
         # Per-round percentiles, then the median over rounds.
         "latency_p50_ms": windowed_percentile(windows, 0.50) * 1e3,
@@ -226,7 +241,7 @@ def run(config: dict, seed: int, seconds: float, trace: bool, root: str, out_dir
         traced = asyncio.run(
             _rounds_for(seconds * share, config, snapshot, seed, len(rounds), tallies["traced"], tracer)
         )
-        cpu_ns = (time.process_time() - cpu0) * 1e9
+        cpu_ns = (time.process_time() - cpu0 - sum(r["yardstick_s"] for r in traced)) * 1e9
         tracer.write(os.path.join(out_dir, "campaign.spans.json"))
         traced_rates = _rates(traced)
         rounds += traced

@@ -150,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
             "latency_p99_ms": (m["latency_p99_ms"], "ms"),
             "latency_samples": (m["latency_samples"], "count"),
             "failed_ratio": (m["failed_ratio"], "ratio"),
+            "raw_setup_s": (m["raw_setup_s"], "s"),
+            "raw_items_per_s": (m["raw_items_per_s"], "1/s"),
+            "slowness": (m["slowness"], "ratio"),
         }
         if config["kind"] == "serving":
             extra["checked_inserts"] = (m["checked_inserts"], "count")

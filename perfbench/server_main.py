@@ -5,6 +5,10 @@ Started by the load process as ``python3 -m perfbench.server_main
 ``MembershipServer``, prints ``{"port": N}`` on stdout, then obeys one
 JSON command per stdin line, answering each with one JSON line:
 
+* ``{"cmd": "speed_on"}`` starts taking machine-speed yardstick samples
+  (:class:`~perfbench.speed.Sampler`) on the server's event loop, as the
+  server also does from the moment it listens;
+* ``{"cmd": "speed_off"}`` stops and answers with the samples;
 * ``{"cmd": "trace_on"}`` installs the span wrappers of
   :data:`~perfbench.tracing.SERVER_LAYERS` into this process;
 * ``{"cmd": "trace_off", "path": p}`` removes them, writes the raw spans
@@ -23,6 +27,7 @@ import time
 
 
 async def _serve(config: dict) -> None:
+    from perfbench.speed import Sampler
     from perfbench.tracing import SERVER_LAYERS, Tracer, install
     from repro.service.config import ServiceConfig
     from repro.service.gateway import MembershipGateway
@@ -41,6 +46,8 @@ async def _serve(config: dict) -> None:
         loop.call_soon_threadsafe(commands.put_nowait, None)
 
     threading.Thread(target=read_stdin, daemon=True).start()
+    # Samples from here to the first speed_off cover the set-up.
+    sampler = Sampler()
     print(json.dumps({"port": port}), flush=True)
     tracer = installation = None
     cpu_start = 0.0
@@ -51,7 +58,12 @@ async def _serve(config: dict) -> None:
             cmd = command["cmd"]
             if cmd == "quit":
                 break
-            if cmd == "trace_on":
+            if cmd == "speed_on":
+                sampler = Sampler()
+                reply = {"ok": True}
+            elif cmd == "speed_off":
+                reply = {"ok": True, "samples": await sampler.stop()}
+            elif cmd == "trace_on":
                 tracer = Tracer()
                 installation = install(tracer, SERVER_LAYERS)
                 cpu_start = time.process_time()

@@ -20,7 +20,7 @@ import selectors
 import sys
 import time
 
-from perfbench import checks, common
+from perfbench import checks, common, speed
 from perfbench.common import (
     REQUEST_FAILURES,
     Tally,
@@ -38,7 +38,7 @@ from repro.urlgen.faker import UrlFactory
 GRACE_S = 5.0
 #: Share of a run's seconds spent in the closed loop; the open loop gets
 #: the rest, because its latency percentiles need the samples.
-CLOSED_SHARE = 0.35
+CLOSED_SHARE = 0.6
 #: Segments of the closed loop and time windows of the open loop; both
 #: report the median over them.
 WINDOWS = 9
@@ -215,17 +215,36 @@ async def closed_loop(client, traffic: Traffic, rec: Recorder, seconds: float, i
     # reported figure.
     edges = [start] + [when for when, _ in done]
     step = len(done) / WINDOWS
-    rates = []
+    segments = []
     for w in range(WINDOWS):
         lo, hi = int(w * step), int((w + 1) * step)
         if hi == lo:
             continue
         items = sum(n for _, n in done[lo:hi])
-        rates.append(items / (edges[hi] - edges[lo]))
+        segments.append((edges[lo], edges[hi], items / (edges[hi] - edges[lo])))
     return {
-        "items_per_s": statistics.median(rates),
+        "items_per_s": statistics.median(rate for _, _, rate in segments),
+        "segments": segments,
         "items": sum(n for _, n in done),
     }
+
+
+async def measured_closed_loop(client, server, traffic, rec: Recorder, seconds: float, inflight: int) -> dict:
+    """:func:`closed_loop` with machine-speed samples taken in both
+    processes, so ``items_per_s`` is scaled to the reference speed;
+    ``raw_items_per_s`` is the rate as measured."""
+    server.command(cmd="speed_on")
+    sampler = speed.Sampler()
+    closed = await closed_loop(client, traffic, rec, seconds, inflight)
+    samples = [await sampler.stop(), server.command(cmd="speed_off")["samples"]]
+    closed["raw_items_per_s"] = closed["items_per_s"]
+    closed["items_per_s"] = speed.scaled_rate(closed["segments"], samples)
+    closed["slowness"] = statistics.mean(speed.slowness(s) for s in samples)
+    # Yardstick seconds each process spent, for its CPU accounting.
+    closed["load_yardstick_s"], closed["server_yardstick_s"] = (
+        sum(seconds for _, seconds in s) for s in samples
+    )
+    return closed
 
 
 async def open_loop(client, traffic: Traffic, rec: Recorder, seconds: float, rate: float) -> dict:
@@ -315,7 +334,10 @@ async def verify(client: MembershipClient, rec: Recorder, shards: int) -> tuple[
 
 
 async def _setup(config: dict, traffic: Traffic, root: str):
-    """Spawn the server, connect, prefill: the timed set-up."""
+    """Spawn the server, connect, prefill: the timed set-up.  Also
+    returns the machine's slowness meanwhile, from the samples of both
+    processes."""
+    sampler = speed.Sampler()
     start = time.perf_counter()
     server = ServerProcess(config["service"], root)
     try:
@@ -323,23 +345,27 @@ async def _setup(config: dict, traffic: Traffic, root: str):
         rec = Recorder()
         await prefill(client, traffic.prefill, rec)
         await checkpoint(client, rec)
+        elapsed = time.perf_counter() - start
+        samples = [await sampler.stop(), server.command(cmd="speed_off")["samples"]]
     except BaseException:
         server.close()
         raise
-    return time.perf_counter() - start, server, client, rec
+    slowness = statistics.mean(speed.slowness(s) for s in samples)
+    return elapsed, slowness, server, client, rec
 
 
 async def run(config: dict, seed: int, seconds: float, trace: bool, root: str, out_dir: str) -> dict:
     """One run; returns the metrics dict plus attempted/failed/correct."""
     _pin(0, _LOAD_CPU)
     traffic = Traffic(config, seed)
-    setups = []
+    setups, raw_setups = [], []
     for _ in range(1 if trace else common.SETUP_REPS):
         if setups:
             await client.aclose()
             server.close()
-        elapsed, server, client, rec = await _setup(config, traffic, root)
-        setups.append(elapsed)
+        elapsed, slowness, server, client, rec = await _setup(config, traffic, root)
+        raw_setups.append(elapsed)
+        setups.append(elapsed / slowness)
     shards = config["service"]["shards"]
     rate = config["open_rate"]
     # The load process's own bookkeeping (a tuple per request) would make
@@ -360,18 +386,22 @@ async def run(config: dict, seed: int, seconds: float, trace: bool, root: str, o
         if trace:
             closed_s, open_s = closed_s / 2, open_s / 2
         cpu0, load0, wall0 = server.cpu_seconds(), time.process_time(), time.perf_counter()
-        closed = await closed_loop(client, traffic, rec, closed_s, config["inflight"])
+        closed = await measured_closed_loop(client, server, traffic, rec, closed_s, config["inflight"])
         cpu1, load1, wall1 = server.cpu_seconds(), time.process_time(), time.perf_counter()
         opened = await open_loop(client, traffic, rec, open_s, rate)
         result = {
             "setup_s": statistics.median(setups),
+            "raw_setup_s": statistics.median(raw_setups),
             "items_per_s": closed["items_per_s"],
+            "raw_items_per_s": closed["raw_items_per_s"],
+            "slowness": closed["slowness"],
             "latency_p50_ms": opened["latency_p50_ms"],
             "latency_p99_ms": opened["latency_p99_ms"],
             "latency_samples": opened["latency_samples"],
-            "server.cpu_share": (cpu1 - cpu0) / (wall1 - wall0),
-            "server.cpu_us_per_item": (cpu1 - cpu0) * 1e6 / max(closed["items"], 1),
-            "loadgen.cpu_share": (load1 - load0) / (wall1 - wall0),
+            # CPU time of the program and the load, without the yardstick's.
+            "server.cpu_share": (cpu1 - cpu0 - closed["server_yardstick_s"]) / (wall1 - wall0),
+            "server.cpu_us_per_item": (cpu1 - cpu0 - closed["server_yardstick_s"]) * 1e6 / max(closed["items"], 1),
+            "loadgen.cpu_share": (load1 - load0 - closed["load_yardstick_s"]) / (wall1 - wall0),
             "loadgen.lag_ms_p99": opened["lag_ms_p99"],
         }
         if trace:
@@ -405,15 +435,15 @@ async def _traced(client, server, traffic, rec, config, closed_s, open_s, untrac
     server.command(cmd="trace_on")
     load_cpu0 = time.process_time()
     with install(tracer, CLIENT_LAYERS):
-        closed = await closed_loop(client, traffic, rec, closed_s, config["inflight"])
+        closed = await measured_closed_loop(client, server, traffic, rec, closed_s, config["inflight"])
         opened = await open_loop(client, traffic, rec, open_s, config["open_rate"])
-    load_cpu_ns = (time.process_time() - load_cpu0) * 1e9
+    load_cpu_ns = (time.process_time() - load_cpu0 - closed["load_yardstick_s"]) * 1e9
     items = closed["items"] + opened["items"]
     remote = server.command(cmd="trace_off", path=os.path.join(out_dir, "server.spans.json"))
     tracer.write(os.path.join(out_dir, "loadgen.spans.json"))
     return {
         "trace.overhead": 1.0 - closed["items_per_s"] / untraced["items_per_s"],
-        "unattributed.share": 1.0 - remote["covered_ns"] / max(remote["cpu_ns"], 1),
+        "unattributed.share": 1.0 - remote["covered_ns"] / max(remote["cpu_ns"] - closed["server_yardstick_s"] * 1e9, 1),
         "loadgen.unattributed.share": 1.0 - tracer.covered_ns / max(load_cpu_ns, 1),
         "_server_layers": remote["layers"],
         "_client_layers": tracer.summary()["layers"],

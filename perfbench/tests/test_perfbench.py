@@ -19,7 +19,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
 
-from perfbench import campaign, checks, common, serving, tracing  # noqa: E402
+from perfbench import campaign, checks, common, serving, speed, tracing  # noqa: E402
 from perfbench.run import per_layer  # noqa: E402
 
 with open(os.path.join(ROOT, "perfbench", "workloads.json"), encoding="utf-8") as _handle:
@@ -239,3 +239,16 @@ def test_spans_past_the_cap_are_counted_as_dropped(tmp_path):
     doc = json.loads(path.read_text())
     assert len(doc["spans"]) == 2 and doc["keep"] == 2 and doc["dropped"] == 3
     assert doc["layers"]["noop"]["calls"] == 5
+
+
+def test_rates_scale_by_the_slowness_measured_in_their_segment():
+    ref = speed.REFERENCE_S
+    samples = [(0.0, ref), (1.0, 3 * ref), (2.0, 2 * ref)]
+    assert speed.slowness(samples, 0.5, 1.5) == pytest.approx(3.0)
+    # No sample inside the window: the mean of all of them.
+    assert speed.slowness(samples, 5.0, 6.0) == pytest.approx(2.0)
+    segments = [(0.0, 0.5, 100.0), (0.5, 1.5, 50.0), (1.5, 2.5, 60.0)]
+    # Scaled rates 100, 150 and 120; their median.
+    assert speed.scaled_rate(segments, [samples]) == pytest.approx(120.0)
+    # Two processes: the mean of their slownesses, 1, 2 and 1.5.
+    assert speed.scaled_rate(segments, [samples, [(0.0, ref)]]) == pytest.approx(100.0)
