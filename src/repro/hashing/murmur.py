@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 
 from repro.hashing.base import CallableHash
-from repro.hashing.noncrypto import MASK32, MASK64, rotl32, rotl64
+from repro.hashing.noncrypto import MASK32, MASK64, rotl64
 
 __all__ = [
     "murmur3_32",
@@ -55,27 +55,22 @@ def murmur3_32(data: bytes, seed: int = 0) -> int:
     """MurmurHash3 x86_32 of ``data`` with ``seed``; returns a 32-bit int."""
     length = len(data)
     h = seed & MASK32
-    rounded_end = length & ~0x3
+    nblocks = length >> 2
 
-    for i in range(0, rounded_end, 4):
-        k = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16) | (data[i + 3] << 24)
+    # One unpack for every 4-byte block; the rotations are inlined
+    # because a call per round costs more than the round itself.
+    for k in struct.unpack_from(f"<{nblocks}I", data):
         k = (k * _C1_32) & MASK32
-        k = rotl32(k, 15)
+        k = ((k << 15) | (k >> 17)) & MASK32
         k = (k * _C2_32) & MASK32
         h ^= k
-        h = rotl32(h, 13)
+        h = ((h << 13) | (h >> 19)) & MASK32
         h = (h * 5 + 0xE6546B64) & MASK32
 
-    k = 0
-    tail = length & 3
-    if tail == 3:
-        k ^= data[rounded_end + 2] << 16
-    if tail >= 2:
-        k ^= data[rounded_end + 1] << 8
-    if tail >= 1:
-        k ^= data[rounded_end]
+    if length & 3:
+        k = int.from_bytes(data[nblocks << 2 :], "little")
         k = (k * _C1_32) & MASK32
-        k = rotl32(k, 15)
+        k = ((k << 15) | (k >> 17)) & MASK32
         k = (k * _C2_32) & MASK32
         h ^= k
 

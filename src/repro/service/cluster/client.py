@@ -144,8 +144,8 @@ class ClusterClient:
             # Group the still-unanswered positions by owning node under
             # the *current* view (it may have learned from redirects).
             by_node: dict[str, list[int]] = {}
-            for position in pending:
-                shard = self.picker.pick(items[position], total)
+            shards = self.picker.pick_batch([items[p] for p in pending], total)
+            for position, shard in zip(pending, shards):
                 by_node.setdefault(
                     self.ownership.owner_of(shard), []
                 ).append(position)

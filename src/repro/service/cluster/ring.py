@@ -32,8 +32,10 @@ from abc import ABC, abstractmethod
 from bisect import bisect_right
 from typing import Sequence
 
+from repro import accel
 from repro.countermeasures.keyed import generate_key
 from repro.exceptions import ConfigError, ParameterError
+from repro.hashing.base import ensure_bytes
 from repro.hashing.murmur import Murmur3_32
 from repro.hashing.siphash import SipHash24
 
@@ -48,6 +50,11 @@ __all__ = [
 #: Default Murmur routing seed (the historical public-router seed).
 DEFAULT_MURMUR_SEED = 0x5A4D
 
+#: Items per vectorised routing pass: large enough to amortise the
+#: numpy set-up, small enough that a huge request's pass (encoded keys,
+#: padded matrix) stays a few hundred KiB.
+ROUTE_BATCH = 256
+
 
 class ShardPicker(ABC):
     """A rule assigning items to shards; stateless, like an IndexStrategy."""
@@ -58,6 +65,18 @@ class ShardPicker(ABC):
     @abstractmethod
     def pick(self, item: str | bytes, shard_count: int) -> int:
         """Return the owning shard in ``[0, shard_count)``."""
+
+    def pick_batch(
+        self, items: Sequence[str | bytes], shard_count: int
+    ) -> list[int]:
+        """The owning shard of every item, in order.
+
+        Always equals ``[pick(item, shard_count) for item in items]``;
+        pickers with a vectorised hash override it to route a whole
+        batch in one pass.
+        """
+        pick = self.pick
+        return [pick(item, shard_count) for item in items]
 
     def hash_item(self, item: str | bytes) -> int:
         """The raw routing hash of ``item`` (before any modulo).
@@ -102,6 +121,24 @@ class HashShardPicker(ShardPicker):
     def pick(self, item: str | bytes, shard_count: int) -> int:
         self._check(shard_count)
         return self._hash.hash_int(item) % shard_count
+
+    def pick_batch(
+        self, items: Sequence[str | bytes], shard_count: int
+    ) -> list[int]:
+        """Route the batch with one vectorised MurmurHash3 pass when the
+        accel mode allows it (batches of ``ACCEL_MIN_BATCH`` and up in
+        ``auto``), per-item :meth:`pick` otherwise; both agree exactly."""
+        if not accel.accelerated(len(items)):
+            return super().pick_batch(items, shard_count)
+        self._check(shard_count)
+        from repro.hashing.batched import murmur3_32_batch
+
+        routes: list[int] = []
+        for start in range(0, len(items), ROUTE_BATCH):
+            chunk = [ensure_bytes(item) for item in items[start : start + ROUTE_BATCH]]
+            hashes = murmur3_32_batch(chunk, self._hash.seed)
+            routes += (hashes % shard_count).tolist()
+        return routes
 
     def spec(self) -> str:
         return f"murmur:{self.seed:#x}"

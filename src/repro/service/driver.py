@@ -63,6 +63,7 @@ from repro.exceptions import (
     ParameterError,
 )
 from repro.service.admission import RateLimited
+from repro.service.cluster.ring import ROUTE_BATCH
 from repro.service.gateway import MembershipGateway
 from repro.service.sharding import ShardPicker
 from repro.service.telemetry import ShardSnapshot, render_snapshots
@@ -380,14 +381,31 @@ class AdversarialTrafficDriver:
 
     def _routed(self, candidates, shard_id: int):
         """Filter any candidate stream down to URLs the *attacker's*
-        router maps to ``shard_id``."""
+        router maps to ``shard_id``, one candidate at a time.
+
+        Lazy on purpose: the adaptive strategy's stream reads shared
+        state (its PRNG and promotion table) per item, so pulling ahead
+        of the search would change later campaigns.
+        """
         pick = self.attacker_router.pick
         shards = self.gateway.shards
         return (url for url in candidates if pick(url, shards) == shard_id)
 
     def _routed_candidates(self, factory: UrlFactory, shard_id: int):
-        """Candidate URLs the *attacker's* router maps to ``shard_id``."""
-        return self._routed(factory.candidate_stream(), shard_id)
+        """Candidate URLs the *attacker's* router maps to ``shard_id``.
+
+        ``factory`` is private to one crafting call, so drawing ahead of
+        the search is invisible to it: candidates are routed a chunk at
+        a time with one ``pick_batch`` and the matches are yielded in
+        stream order -- the same sequence the lazy filter gives.
+        """
+        pick_batch = self.attacker_router.pick_batch
+        shards = self.gateway.shards
+        while True:
+            chunk = factory.candidate_batch(ROUTE_BATCH)
+            for url, shard in zip(chunk, pick_batch(chunk, shards)):
+                if shard == shard_id:
+                    yield url
 
     def craft_pollution(
         self, shard_id: int, count: int, report: TrafficReport, seed_offset: int = 0

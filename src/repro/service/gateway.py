@@ -591,12 +591,14 @@ class MembershipGateway:
     def _group_by_shard(
         self, items: Sequence[str | bytes]
     ) -> dict[int, list[int]]:
-        """Map global shard id -> positions in ``items`` routed to it."""
-        pick = self.picker.pick
-        shards = self.total_shards
+        """Map global shard id -> positions in ``items`` routed to it.
+
+        Shards appear in order of their first item, as the groups run
+        in that order."""
+        routes = self.picker.pick_batch(items, self.total_shards)
         groups: dict[int, list[int]] = {}
-        for position, item in enumerate(items):
-            groups.setdefault(pick(item, shards), []).append(position)
+        for position, shard_id in enumerate(routes):
+            groups.setdefault(shard_id, []).append(position)
         return groups
 
     async def _maybe_rotate(

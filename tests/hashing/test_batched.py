@@ -1,6 +1,6 @@
 """Parity of the batched (numpy-lane) hashing with the scalar reference.
 
-The vectorised murmur, the uint64 Kirsch-Mitzenmacher expansion and the
+The vectorised murmurs (x64_128 and x86_32), the uint64 Kirsch-Mitzenmacher expansion and the
 digest-recycling window kernel must be bit-identical with the scalar
 implementations for every key length, seed and geometry -- hypothesis
 drives the key shapes, fixed grids pin the geometry corners.
@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import accel
+from repro.hashing.base import ensure_bytes
 from repro.hashing.crypto import SHA256
 from repro.hashing.kirsch_mitzenmacher import KirschMitzenmacherStrategy, km_indexes
-from repro.hashing.murmur import Murmur3_x64_128, murmur3_x64_128
+from repro.hashing.murmur import Murmur3_x64_128, murmur3_32, murmur3_x64_128
 from repro.hashing.recycling import RecyclingStrategy
 
 pytestmark = pytest.mark.skipif(
@@ -52,6 +53,45 @@ def test_murmur_batch_covers_every_tail_length():
 def test_murmur_batch_empty_input():
     h1, h2 = _batched().murmur3_x64_128_batch([])
     assert len(h1) == len(h2) == 0
+
+
+@given(
+    datas=st.lists(st.binary(min_size=0, max_size=64), min_size=0, max_size=40),
+    seed=st.one_of(
+        st.sampled_from([0, 0xFFFFFFFF]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_murmur32_batch_matches_scalar(datas, seed):
+    hashes = _batched().murmur3_32_batch(datas, seed)
+    assert hashes.dtype == accel.numpy_or_none().uint32
+    assert hashes.tolist() == [murmur3_32(d, seed) for d in datas]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0xFFFFFFFF])
+def test_murmur32_batch_covers_every_tail_length(seed):
+    """Lengths 0..19 sweep every tail residue (0-3) over 0-4 whole
+    blocks, mixed in one batch so short keys freeze while long ones
+    still mix."""
+    datas = [bytes(range(n)) for n in range(20)]
+    assert _batched().murmur3_32_batch(datas, seed).tolist() == [
+        murmur3_32(d, seed) for d in datas
+    ]
+
+
+def test_murmur32_batch_empty_input():
+    assert len(_batched().murmur3_32_batch([], seed=3)) == 0
+
+
+def test_murmur32_batch_non_ascii_text():
+    """Text keys hash as their UTF-8 bytes, multi-byte characters
+    included."""
+    items = ["caf\u00e9", "\u6f22\u5b57/\u8def\u5f84", "\U0001f600", "", "ascii"]
+    datas = [ensure_bytes(item) for item in items]
+    assert _batched().murmur3_32_batch(datas, 0x5A4D).tolist() == [
+        murmur3_32(d, 0x5A4D) for d in datas
+    ]
 
 
 @given(

@@ -77,6 +77,44 @@ def test_murmur32_range_property(data, seed):
     assert 0 <= murmur3_32(data, seed) < 2**32
 
 
+def _bytewise_murmur3_32(data: bytes, seed: int) -> int:
+    """The reference's byte-at-a-time block and tail assembly."""
+    mask = 0xFFFFFFFF
+
+    def rotl(x: int, r: int) -> int:
+        return ((x << r) | (x >> (32 - r))) & mask
+
+    h = seed & mask
+    rounded_end = len(data) & ~3
+    for i in range(0, rounded_end, 4):
+        k = data[i] | data[i + 1] << 8 | data[i + 2] << 16 | data[i + 3] << 24
+        h ^= rotl(k * 0xCC9E2D51 & mask, 15) * 0x1B873593 & mask
+        h = (rotl(h, 13) * 5 + 0xE6546B64) & mask
+    k = 0
+    tail = len(data) & 3
+    if tail == 3:
+        k ^= data[rounded_end + 2] << 16
+    if tail >= 2:
+        k ^= data[rounded_end + 1] << 8
+    if tail >= 1:
+        k ^= data[rounded_end]
+        h ^= rotl(k * 0xCC9E2D51 & mask, 15) * 0x1B873593 & mask
+    return fmix32(h ^ len(data))
+
+
+@given(
+    st.binary(max_size=64),
+    st.one_of(
+        st.sampled_from([0, 0xFFFFFFFF]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+)
+def test_murmur32_matches_bytewise_reference(data, seed):
+    """The word-unpacking implementation equals byte-at-a-time assembly
+    for every block count and tail length."""
+    assert murmur3_32(data, seed) == _bytewise_murmur3_32(data, seed)
+
+
 def test_wrapper_hash_object():
     fn = Murmur3_32(seed=9)
     assert fn.digest_bits == 32

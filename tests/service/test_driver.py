@@ -9,7 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.adversary.budget import AttackBudget
+from repro import accel
+from repro.adversary.budget import AdaptiveQueryStrategy, AttackBudget
+from repro.adversary.query import GhostForgery
 from repro.core.bloom import BloomFilter
 from repro.exceptions import ParameterError
 from repro.service.admission import ClientRateLimiter, SaturationGuard
@@ -17,6 +19,7 @@ from repro.service.backends import LocalBackend, ProcessPoolBackend
 from repro.service.driver import AdversarialTrafficDriver, TrafficReport, replay
 from repro.service.gateway import MembershipGateway
 from repro.service.sharding import HashShardPicker, KeyedShardPicker
+from repro.urlgen.faker import UrlFactory
 
 
 def make_gateway(m: int = 512, **kwargs) -> MembershipGateway:
@@ -555,3 +558,97 @@ def test_driver_coalesce_none_leaves_gateway_untouched():
     assert gateway.coalescing
     AdversarialTrafficDriver(gateway, coalesce=False)
     assert not gateway.coalescing
+
+
+# ----------------------------------------------------------------------
+# Chunked attacker routing: same candidates as the lazy per-item filter
+# ----------------------------------------------------------------------
+
+
+def _lazy_routing(driver: AdversarialTrafficDriver) -> None:
+    """Route the driver's private candidate streams one item at a time
+    (the reference the chunked ``pick_batch`` stream must reproduce)."""
+    driver._routed_candidates = lambda factory, shard_id: driver._routed(
+        factory.candidate_stream(), shard_id
+    )
+
+
+def _polluted_gateway() -> MembershipGateway:
+    gateway = make_gateway()
+    filler = AdversarialTrafficDriver(gateway, seed=9, max_trials=100_000)
+    for item in filler.craft_pollution(0, 30, TrafficReport()):
+        gateway.filters[0].add(item)
+    return gateway
+
+
+def _sequential_campaign(lazy: bool) -> tuple:
+    gateway = _polluted_gateway()
+    budget = AttackBudget()
+    driver = AdversarialTrafficDriver(
+        gateway, seed=21, max_trials=100_000, budget=budget
+    )
+    if lazy:
+        _lazy_routing(driver)
+    report = TrafficReport()
+    crafted = []
+    for round_no in range(3):
+        polluting = driver.craft_pollution(0, 10, report, seed_offset=round_no)
+        for item in polluting:
+            gateway.filters[0].add(item)
+        ghosts = driver.craft_ghosts(0, 4, report, seed_offset=round_no)
+        crafted.append((polluting, ghosts))
+    counts = (
+        report.pollution_trials,
+        report.pollution_crafted,
+        report.ghost_crafted,
+        {label: spend.trials for label, spend in budget.spend_by_label().items()},
+    )
+    return crafted, counts, gateway.filters[0].hamming_weight
+
+
+@pytest.mark.parametrize("mode", ["numpy", "pure"])
+def test_chunked_routing_crafts_what_the_lazy_filter_crafts(mode):
+    if mode == "numpy" and accel.numpy_or_none() is None:
+        pytest.skip("numpy backend unavailable")
+    with accel.use_mode(mode):
+        chunked = _sequential_campaign(lazy=False)
+        lazy = _sequential_campaign(lazy=True)
+    crafted, counts, _ = chunked
+    assert all(len(polluting) == 10 and len(ghosts) == 4 for polluting, ghosts in crafted)
+    assert counts[3]["pollution"] == counts[0] > 0 and counts[3]["ghost"] > 0
+    assert chunked == lazy
+
+
+def test_adaptive_crafting_draws_the_shared_stream_lazily():
+    """The adaptive stream reads the strategy's shared PRNG per item, so
+    crafting must pull exactly what a lazy per-item filter pulls: same
+    items, same PRNG state afterwards."""
+
+    def craft(reference: bool) -> tuple:
+        gateway = _polluted_gateway()
+        driver = AdversarialTrafficDriver(gateway, seed=13, max_trials=100_000)
+        strategy = AdaptiveQueryStrategy(seed=4)
+        confirmed = driver.craft_ghosts(0, 4, TrafficReport())
+        strategy.observe(confirmed, [True] * len(confirmed))
+        assert strategy.promoted_prefixes  # so every draw touches _rng
+        if not reference:
+            items = driver.craft_adaptive_ghosts(0, 6, strategy, TrafficReport())
+        else:
+            pick = gateway.picker.pick
+            factory = UrlFactory(seed=driver.seed ^ 0xADA9)
+            forgery = GhostForgery(
+                gateway.shard_view(0),
+                candidates=(
+                    url
+                    for url in strategy.candidates(factory)
+                    if pick(url, gateway.shards) == 0
+                ),
+                max_trials=driver.max_trials,
+                label="adaptive",
+            )
+            items = [forgery.craft_one().item for _ in range(6)]
+        return items, strategy._rng.getstate()
+
+    items, rng_state = craft(reference=False)
+    assert len(items) == 6
+    assert (items, rng_state) == craft(reference=True)

@@ -6,12 +6,14 @@ import asyncio
 
 import pytest
 
+from repro import accel
 from repro.core.bloom import BloomFilter
 from repro.countermeasures.keyed import KeyedBloomFilter
 from repro.exceptions import ParameterError
 from repro.service.admission import ClientRateLimiter, RateLimited, SaturationGuard
 from repro.service.config import ServiceConfig
 from repro.service.gateway import MembershipGateway
+from repro.service.lifecycle import parse_policy
 from repro.service.sharding import KeyedShardPicker
 from repro.urlgen.faker import UrlFactory
 
@@ -50,6 +52,47 @@ def test_batch_matches_singles_and_shard_state():
     # Every item lives in exactly the shard the router names.
     for url in URLS[:50]:
         assert url in gateway.filters[gateway.shard_of(url)]
+
+
+@pytest.mark.parametrize("mode", ["numpy", "pure"])
+def test_batched_routing_matches_per_item_routing(mode):
+    """Whatever path routes a batch, the gateway answers and mutates
+    exactly as per-item routing does: same answers, same filter bytes,
+    same rotations, on batches either side of the accel threshold."""
+    if mode == "numpy" and accel.numpy_or_none() is None:
+        pytest.skip("numpy backend unavailable")
+    urls = UrlFactory(seed=0xBA7C).urls(1500)
+    sizes = [1, 5, 63, 64, 65, 300, 700]
+
+    def run(use_batch: bool):
+        gateway = MembershipGateway(
+            lambda: BloomFilter(1024, 4),
+            shards=5,
+            policy=parse_policy("fill:0.5"),
+        )
+        if not use_batch:
+            gateway.picker.pick_batch = lambda items, count: [
+                gateway.picker.pick(item, count) for item in items
+            ]
+
+        async def scenario():
+            answers = []
+            for step in range(24):
+                size = sizes[step % len(sizes)]
+                start = (step * 97) % (len(urls) - size)
+                batch = urls[start : start + size]
+                op = gateway.insert_batch if step % 3 != 2 else gateway.query_batch
+                answers.append(await op(batch))
+            return answers
+
+        with accel.use_mode(mode):
+            answers = asyncio.run(scenario())
+        rotations = [(e.shard_id, e.op_epoch) for e in gateway.rotation_log]
+        return answers, [f.to_bytes() for f in gateway.filters], rotations
+
+    batched = run(use_batch=True)
+    assert batched[2]  # the workload rotates shards mid-run
+    assert batched == run(use_batch=False)
 
 
 def test_batch_results_keep_input_order():

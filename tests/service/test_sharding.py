@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro import accel
 from repro.exceptions import ParameterError
+from repro.service.cluster.ring import ROUTE_BATCH
 from repro.service.sharding import HashShardPicker, KeyedShardPicker
 from repro.urlgen.faker import UrlFactory
 
 URLS = UrlFactory(seed=0x5EED).urls(400)
+
+_MODES = ["auto", "pure"] + (["numpy"] if accel.numpy_or_none() is not None else [])
 
 
 @pytest.mark.parametrize("picker", [HashShardPicker(), KeyedShardPicker(bytes(16))])
@@ -58,3 +62,31 @@ def test_invalid_parameters():
         HashShardPicker().pick("x", 0)
     with pytest.raises(ParameterError):
         KeyedShardPicker(bytes(16)).pick("x", -1)
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize(
+    "size",
+    [0, 1, accel.ACCEL_MIN_BATCH - 1, accel.ACCEL_MIN_BATCH, ROUTE_BATCH + 44],
+)
+@pytest.mark.parametrize(
+    "picker",
+    [HashShardPicker(), HashShardPicker(seed=0xFFFFFFFF), KeyedShardPicker(bytes(16))],
+)
+def test_pick_batch_matches_per_item_pick(picker, size, mode):
+    """Batch routing equals per-item routing on both sides of the accel
+    threshold and across the routing-pass boundary, for str and bytes."""
+    items = [
+        url.encode() if i % 3 == 0 else url for i, url in enumerate(URLS[:size])
+    ]
+    if size:
+        items[-1] = "caf\u00e9/\u8def"
+    with accel.use_mode(mode):
+        routes = picker.pick_batch(items, 7)
+    assert routes == [picker.pick(item, 7) for item in items]
+
+
+def test_pick_batch_rejects_bad_shard_count_in_every_mode():
+    for mode in _MODES:
+        with accel.use_mode(mode), pytest.raises(ParameterError):
+            HashShardPicker().pick_batch(URLS[: accel.ACCEL_MIN_BATCH], 0)
