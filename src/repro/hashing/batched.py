@@ -143,7 +143,9 @@ def murmur3_32_batch(datas: list[bytes], seed: int = 0) -> np.ndarray:
     """MurmurHash3 x86_32 of every key in ``datas`` with ``seed``.
 
     Returns a uint32 array of length ``len(datas)``, bit-identical with
-    the scalar function.
+    the scalar function.  Every key is padded to the longest one, so time
+    and memory grow with ``len(datas)`` times the longest key: callers
+    route lopsided batches (see ``ring.ROUTE_MAX_PADDING``) per key.
     """
     n = len(datas)
     if n == 0:

@@ -57,9 +57,10 @@ def murmur3_32(data: bytes, seed: int = 0) -> int:
     h = seed & MASK32
     nblocks = length >> 2
 
-    # One unpack for every 4-byte block; the rotations are inlined
-    # because a call per round costs more than the round itself.
-    for k in struct.unpack_from(f"<{nblocks}I", data):
+    # The blocks are unpacked lazily (a key of any length costs no extra
+    # memory); the rotations are inlined because a call per round costs
+    # more than the round itself.
+    for (k,) in struct.iter_unpack("<I", memoryview(data)[: nblocks << 2]):
         k = (k * _C1_32) & MASK32
         k = ((k << 15) | (k >> 17)) & MASK32
         k = (k * _C2_32) & MASK32

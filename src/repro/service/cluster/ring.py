@@ -51,9 +51,17 @@ __all__ = [
 DEFAULT_MURMUR_SEED = 0x5A4D
 
 #: Items per vectorised routing pass: large enough to amortise the
-#: numpy set-up, small enough that a huge request's pass (encoded keys,
-#: padded matrix) stays a few hundred KiB.
+#: numpy set-up, small enough that one pass over a huge request handles
+#: a bounded slice of it.
 ROUTE_BATCH = 256
+
+#: The kernel pads every key of a pass to the longest one, so a pass
+#: costs time and memory in proportion to ``len(keys) * longest``.  A
+#: pass whose padded matrix would exceed this many times its keys' own
+#: bytes (a long key among short ones) is routed key by key instead:
+#: scalar :meth:`HashShardPicker.pick` needs no extra memory and is
+#: then faster.  Generated URL batches pad to under 2x.
+ROUTE_MAX_PADDING = 4
 
 
 class ShardPicker(ABC):
@@ -125,19 +133,27 @@ class HashShardPicker(ShardPicker):
     def pick_batch(
         self, items: Sequence[str | bytes], shard_count: int
     ) -> list[int]:
-        """Route the batch with one vectorised MurmurHash3 pass when the
-        accel mode allows it (batches of ``ACCEL_MIN_BATCH`` and up in
-        ``auto``), per-item :meth:`pick` otherwise; both agree exactly."""
+        """Route the batch with one vectorised MurmurHash3 pass per
+        ``ROUTE_BATCH`` items when the accel mode allows it (batches of
+        ``ACCEL_MIN_BATCH`` and up in ``auto``), per-item :meth:`pick`
+        otherwise and for passes that would pad past
+        ``ROUTE_MAX_PADDING``; all agree exactly."""
         if not accel.accelerated(len(items)):
             return super().pick_batch(items, shard_count)
         self._check(shard_count)
         from repro.hashing.batched import murmur3_32_batch
 
+        pick = self.pick
         routes: list[int] = []
         for start in range(0, len(items), ROUTE_BATCH):
-            chunk = [ensure_bytes(item) for item in items[start : start + ROUTE_BATCH]]
-            hashes = murmur3_32_batch(chunk, self._hash.seed)
-            routes += (hashes % shard_count).tolist()
+            keys = [ensure_bytes(item) for item in items[start : start + ROUTE_BATCH]]
+            lengths = [len(key) for key in keys]
+            padded = len(keys) * (max(lengths) // 4 + 1) * 4
+            if padded > ROUTE_MAX_PADDING * sum(lengths):
+                routes += [pick(key, shard_count) for key in keys]
+            else:
+                hashes = murmur3_32_batch(keys, self._hash.seed)
+                routes += (hashes % shard_count).tolist()
         return routes
 
     def spec(self) -> str:

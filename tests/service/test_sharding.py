@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro import accel
@@ -90,3 +92,41 @@ def test_pick_batch_rejects_bad_shard_count_in_every_mode():
     for mode in _MODES:
         with accel.use_mode(mode), pytest.raises(ParameterError):
             HashShardPicker().pick_batch(URLS[: accel.ACCEL_MIN_BATCH], 0)
+
+
+def test_pick_batch_routes_a_long_key_pass_per_item_in_bounded_memory():
+    """One long key among empty ones would pad every lane of the kernel
+    to its width; that pass is routed per item, with no copy of the key."""
+    picker = HashShardPicker()
+    items = [b""] * (ROUTE_BATCH - 1) + [bytes(range(256)) * 4096]  # 1 MiB
+    expected = [picker.pick(item, 7) for item in items]
+    tracemalloc.start()
+    try:
+        routes = picker.pick_batch(items, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert routes == expected
+    assert peak < 64 * 1024
+
+
+@pytest.mark.skipif(accel.numpy_or_none() is None, reason="needs numpy")
+def test_pick_batch_uses_the_kernel_only_on_passes_that_pad_little(monkeypatch):
+    from repro.hashing import batched
+
+    passes = []
+
+    def counting(keys, seed):
+        passes.append(len(keys))
+        return kernel(keys, seed)
+
+    kernel = batched.murmur3_32_batch
+    monkeypatch.setattr(batched, "murmur3_32_batch", counting)
+    picker = HashShardPicker()
+    # The second pass, 50 one-byte keys and a 1000-byte one, would pad
+    # to 51 * 1004 bytes, far past ROUTE_MAX_PADDING times its 1050.
+    items = URLS[:ROUTE_BATCH] + ["a"] * 50 + [b"k" * 1000]
+    with accel.use_mode("numpy"):
+        routes = picker.pick_batch(items, 5)
+    assert passes == [ROUTE_BATCH]
+    assert routes == [picker.pick(item, 5) for item in items]
