@@ -33,7 +33,6 @@ from repro.service import (
     MembershipServer,
     ProcessPoolBackend,
     RotateOnRestorePolicy,
-    SaturationGuard,
     TimeBasedRecyclingPolicy,
 )
 from repro.urlgen.faker import UrlFactory
@@ -119,7 +118,7 @@ def test_gateway_replay(benchmark, report):
             lambda: BloomFilter(1024, 4),
             shards=4,
             picker=HashShardPicker(),
-            guard=SaturationGuard(0.4),
+            policy=FillThresholdPolicy(0.4),
         )
         driver = AdversarialTrafficDriver(gateway, seed=3, max_trials=50_000)
         return asyncio.run(

@@ -51,10 +51,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.exceptions import ParameterError
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import AttackBudgetConfig, ServiceConfig
 from repro.service.driver import AdversarialTrafficDriver
 from repro.service.gateway import MembershipGateway, RotationEvent
-from repro.service.sharding import HashShardPicker
 
 __all__ = [
     "FrontierWorkload",

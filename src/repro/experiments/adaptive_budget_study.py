@@ -39,10 +39,10 @@ import asyncio
 
 from repro.exceptions import ReproError
 from repro.experiments.runner import ExperimentResult
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import AttackBudgetConfig, ServiceConfig
 from repro.service.driver import AdversarialTrafficDriver, TrafficReport
 from repro.service.gateway import MembershipGateway
-from repro.service.sharding import HashShardPicker
 
 __all__ = ["run"]
 

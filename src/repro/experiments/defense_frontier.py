@@ -48,10 +48,10 @@ from repro.defense.frontier import (
 )
 from repro.exceptions import ReproError
 from repro.experiments.runner import ExperimentResult
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import ServiceConfig
 from repro.service.driver import AdversarialTrafficDriver
 from repro.service.gateway import MembershipGateway
-from repro.service.sharding import HashShardPicker
 
 __all__ = ["run"]
 

@@ -43,12 +43,12 @@ from repro.core.params import BloomParameters
 from repro.exceptions import SnapshotError
 from repro.experiments.runner import ExperimentResult
 from repro.service.client import MembershipClient
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import ServiceConfig
 from repro.service.driver import AdversarialTrafficDriver, TrafficReport
 from repro.service.gateway import MembershipGateway
 from repro.service.lifecycle import parse_policy
 from repro.service.server import MembershipServer
-from repro.service.sharding import HashShardPicker
 from repro.service.snapshots import restore_gateway, snapshot_gateway
 from repro.urlgen.faker import UrlFactory
 

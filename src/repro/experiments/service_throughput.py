@@ -39,13 +39,14 @@ from functools import partial
 from repro.core.bloom import BloomFilter
 from repro.exceptions import SnapshotError
 from repro.experiments.runner import ExperimentResult
-from repro.service.admission import ClientRateLimiter, SaturationGuard
+from repro.service.admission import ClientRateLimiter
 from repro.service.backends import LocalBackend, ProcessPoolBackend, ShardBackend
 from repro.service.client import MembershipClient
+from repro.service.cluster.ring import HashShardPicker, KeyedShardPicker
 from repro.service.driver import AdversarialTrafficDriver, TrafficReport
 from repro.service.gateway import MembershipGateway
+from repro.service.lifecycle import FillThresholdPolicy
 from repro.service.server import MembershipServer
-from repro.service.sharding import HashShardPicker, KeyedShardPicker
 from repro.service.snapshots import restore_gateway, snapshot_gateway
 from repro.urlgen.faker import UrlFactory
 
@@ -121,7 +122,7 @@ def _scenario(
         lambda: BloomFilter(shard_m, _K),
         shards=_SHARDS,
         picker=KeyedShardPicker() if keyed_routing else HashShardPicker(),
-        guard=SaturationGuard(_THRESHOLD),
+        policy=FillThresholdPolicy(_THRESHOLD),
         limiter=ClientRateLimiter(rate_limit, burst=32) if rate_limit else None,
     )
     # The adversary always aims through the *public* router; when the
@@ -148,7 +149,7 @@ async def _replay_over_tcp(
         factory,
         backend=backend,
         picker=HashShardPicker(),
-        guard=SaturationGuard(_THRESHOLD),
+        policy=FillThresholdPolicy(_THRESHOLD),
     )
     try:
         async with MembershipServer(gateway) as server:
@@ -261,13 +262,13 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     honest_pool, _ = asyncio.run(_replay_over_tcp("procpool", scale, seed, attack=False))
     add_row("honest", "tcp-local", "murmur3", honest_local)
     add_row("honest", "tcp-procpool", "murmur3", honest_pool)
-    if honest_local.throughput > 0 and honest_pool.throughput > 0:
+    if min(honest.throughput, honest_local.throughput, honest_pool.throughput) > 0:
         result.note(
             f"serving overhead (honest workload): inproc "
             f"{honest.throughput:,.0f} -> tcp-local "
             f"{honest_local.throughput:,.0f} ops/s "
-            f"(x{honest.throughput / honest_local.throughput:.1f} slower over the "
-            f"wire); tcp-procpool {honest_pool.throughput:,.0f} ops/s "
+            f"(wire/inproc x{honest_local.throughput / honest.throughput:.2f}); "
+            f"tcp-procpool {honest_pool.throughput:,.0f} ops/s "
             f"(x{honest_local.throughput / honest_pool.throughput:.2f} vs "
             f"tcp-local; one worker per shard, speedup needs multi-core and "
             f"CPU-bound batches)"
@@ -283,7 +284,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         lambda: BloomFilter(shard_m, _K),
         shards=_SHARDS,
         picker=HashShardPicker(),
-        guard=SaturationGuard(_THRESHOLD),
+        policy=FillThresholdPolicy(_THRESHOLD),
     )
     restore_gateway(restarted, raw)
     after = _probe_answers(restarted, seed, probe_count)

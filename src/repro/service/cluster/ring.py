@@ -1,13 +1,12 @@
 """Shard routers and the consistent-hash ring for the cluster tier.
 
-The shard pickers lived in ``service/sharding.py`` while one gateway
-owned every shard; the cluster tier reuses the exact same hash choice
-one layer up (shard id -> owning gateway node), so they moved here and
-``sharding.py`` re-exports them.  The adversarial framing carries over
-unchanged: a *public* Murmur ring lets the adversary compute both the
-item's shard and the shard's node offline (aim every crafted item at
-one shard of one gateway), while a *keyed* SipHash ring reduces the
-attacker to spraying -- the same MAC countermeasure as
+The shard pickers route an item to its shard inside one gateway; the
+cluster tier reuses the exact same hash choice one layer up (shard id
+-> owning gateway node), so both live here.  The adversarial framing
+is the same at both layers: a *public* Murmur ring lets the adversary
+compute both the item's shard and the shard's node offline (aim every
+crafted item at one shard of one gateway), while a *keyed* SipHash
+ring reduces the attacker to spraying -- the same MAC countermeasure as
 :mod:`repro.countermeasures.keyed`, applied to placement.
 
 Pickers also gained a parsed spec grammar mirroring

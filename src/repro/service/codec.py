@@ -1,19 +1,17 @@
 """Length-prefixed binary wire codec for the membership service.
 
 One frame = a 4-byte big-endian payload length followed by the payload.
-Requests open with an opcode byte, responses with a status byte; batch
-answers travel as packed bits (one byte per eight membership answers),
-so a 10k-item query batch replies in ~1.25 KiB.
+Every payload opens with the :data:`FRAME_V2` envelope -- a marker byte
+and a u32 *correlation id* -- followed by the body: an opcode byte for
+requests, a status byte for replies.  The id lets one connection carry
+many requests in flight, with replies returning out of order and matched
+by id.  Batch answers travel as packed bits (one byte per eight
+membership answers), so a 10k-item query batch replies in ~1.25 KiB.
 
-Two payload generations share the framing.  A *v1* payload starts
-directly with the opcode/status byte and implies serial
-request/reply alternation on the connection.  A *v2* payload opens with
-the :data:`FRAME_V2` marker byte followed by a u32 *correlation id*,
-then the unchanged v1 body -- the id lets one connection carry many
-requests in flight and replies return out of order, matched by id (the
-pipelined wire path).  The marker byte collides with no v1 opcode or
-status, so both generations interleave safely on one connection and a
-v1-only peer rejects v2 frames loudly instead of misparsing them.
+Exactly one frame carries no envelope: the connection-level
+``ST_PROTOCOL`` error a server sends before it drops a connection whose
+request it could not parse (so it has no id to echo).  An id-less
+request is such a violation.
 
 The codec is deliberately paranoid: every field read checks the
 remaining length, frame lengths are bounded, and any violation raises
@@ -55,7 +53,6 @@ __all__ = [
     "BufferedFrameWriter",
     "encode_request",
     "encode_request_frame",
-    "decode_request",
     "decode_request_envelope",
     "decode_response_envelope",
     "encode_answers",
@@ -67,7 +64,6 @@ __all__ = [
     "encode_not_owner_frame",
     "encode_stats",
     "encode_stats_frame",
-    "decode_response",
     "pack_bools",
     "unpack_bools",
 ]
@@ -106,9 +102,9 @@ _STATUSES = frozenset(
     {ST_OK, ST_RATE_LIMITED, ST_INVALID, ST_ERROR, ST_PROTOCOL, ST_NOT_OWNER}
 )
 
-#: First payload byte of a v2 (correlated) frame.  Deliberately outside
-#: both the opcode and the status ranges, so a v1 decoder rejects a v2
-#: frame as an unknown opcode/status instead of misreading it.
+#: First payload byte of every enveloped frame.  Deliberately outside
+#: both the opcode and the status ranges, so an id-less frame can never
+#: be mistaken for an enveloped one.
 FRAME_V2 = 0xC2
 
 _U32 = struct.Struct(">I")
@@ -390,26 +386,23 @@ def encode_request(
     return b"".join(parts)
 
 
-def _take_envelope(cursor: _Cursor, what: str) -> int | None:
-    """Consume a v2 envelope if one opens the payload; the correlation
-    id, or ``None`` for a v1 payload (cursor untouched)."""
-    if cursor.peek_u8() != FRAME_V2:
-        return None
-    cursor.u8("envelope marker")
+def _take_envelope(cursor: _Cursor, what: str) -> int:
+    """Consume the envelope that opens every payload; the correlation id."""
+    marker = cursor.u8(f"{what} envelope marker")
+    if marker != FRAME_V2:
+        raise ProtocolError(
+            f"{what} frame opens with byte {marker:#04x}, not the "
+            f"envelope marker {FRAME_V2:#04x}"
+        )
     return cursor.u32(f"{what} correlation id")
 
 
-def decode_request(payload) -> Request:
-    """Decode and validate a v1 request payload (any bytes-like)."""
-    return _decode_request_body(_Cursor(payload))
+def decode_request_envelope(payload) -> tuple[int, Request]:
+    """Decode and validate a request payload (any bytes-like).
 
-
-def decode_request_envelope(payload) -> tuple[int | None, Request]:
-    """Decode a request of either generation.
-
-    Returns ``(correlation_id, request)``; the id is ``None`` for a v1
-    payload (the caller owes a serial, id-less reply) and a u32 for a v2
-    payload (the reply must echo it, and may return out of order).
+    Returns ``(correlation_id, request)``; the reply must echo the id,
+    and may return out of order.  A payload without the envelope raises
+    :class:`ProtocolError`.
     """
     cursor = _Cursor(payload)
     return _take_envelope(cursor, "request"), _decode_request_body(cursor)
@@ -523,9 +516,10 @@ def encode_not_owner(shard_id: int, epoch: int, owner: str = "") -> bytes:
 # one buffer, and pack header and payload straight into it; the server
 # and client send paths hand that single buffer to the transport.
 #
-# Every ``*_frame`` encoder takes an optional ``request_id``: ``None``
-# emits the byte-identical v1 frame, a u32 prepends the five-byte v2
-# envelope (marker + correlation id) to the same body.
+# Every ``*_frame`` encoder takes the request's correlation id and opens
+# the payload with the five-byte envelope (marker + id).  The one
+# exception is :func:`encode_error_frame` without an id: the
+# connection-level ``ST_PROTOCOL`` error.
 
 def _frame_buffer(payload_len: int) -> bytearray:
     if payload_len == 0:
@@ -539,13 +533,9 @@ def _frame_buffer(payload_len: int) -> bytearray:
     return out
 
 
-def _enveloped_buffer(
-    payload_len: int, request_id: int | None
-) -> tuple[bytearray, int]:
-    """One frame buffer plus the body's start offset; a correlation id
-    grows the payload by the five-byte v2 envelope."""
-    if request_id is None:
-        return _frame_buffer(payload_len), 4
+def _enveloped_buffer(payload_len: int, request_id: int) -> tuple[bytearray, int]:
+    """One frame buffer plus the body's start offset, for a body of
+    ``payload_len`` bytes behind the five-byte envelope."""
     if not 0 <= request_id <= 0xFFFFFFFF:
         raise ProtocolError(f"correlation id {request_id} outside the u32 range")
     out = _frame_buffer(payload_len + 5)
@@ -558,7 +548,8 @@ def encode_request_frame(
     op: int,
     items: list[str | bytes] | None = None,
     client: str = "anon",
-    request_id: int | None = None,
+    *,
+    request_id: int,
 ) -> bytes:
     """One ready-to-send request frame, assembled in a single buffer."""
     if op not in _OPS:
@@ -599,9 +590,7 @@ def encode_request_frame(
     return bytes(out)
 
 
-def encode_answers_frame(
-    answers: list[bool], request_id: int | None = None
-) -> bytes:
+def encode_answers_frame(answers: list[bool], *, request_id: int) -> bytes:
     """One ready-to-send OK frame carrying packed membership answers."""
     bitmap = pack_bools(answers)
     out, pos = _enveloped_buffer(5 + len(bitmap), request_id)
@@ -615,14 +604,24 @@ def encode_error_frame(
     status: int, message: str, request_id: int | None = None
 ) -> bytes:
     """One ready-to-send non-OK frame carrying a diagnostic message
-    (``ST_NOT_OWNER`` uses :func:`encode_not_owner_frame` instead)."""
+    (``ST_NOT_OWNER`` uses :func:`encode_not_owner_frame` instead).
+
+    ``request_id=None`` builds the one id-less frame of the protocol,
+    the connection-level ``ST_PROTOCOL`` error; any other status must
+    answer a request by id.
+    """
     if status not in _STATUSES or status in (ST_OK, ST_NOT_OWNER):
         raise ProtocolError(f"bad error status {status}")
     raw = message.encode("utf-8")
     if len(raw) > 0xFFFF:
         # Truncate on a character boundary so the reply stays valid UTF-8.
         raw = raw[:0xFFFF].decode("utf-8", "ignore").encode("utf-8")
-    out, pos = _enveloped_buffer(3 + len(raw), request_id)
+    if request_id is None:
+        if status != ST_PROTOCOL:
+            raise ProtocolError(f"status {status} must answer a correlation id")
+        out, pos = _frame_buffer(3 + len(raw)), 4
+    else:
+        out, pos = _enveloped_buffer(3 + len(raw), request_id)
     out[pos] = status
     _U16.pack_into(out, pos + 1, len(raw))
     out[pos + 3 :] = raw
@@ -632,7 +631,8 @@ def encode_error_frame(
 def encode_stats_frame(
     snapshots: list[ShardSnapshot],
     extra: dict | None = None,
-    request_id: int | None = None,
+    *,
+    request_id: int,
 ) -> bytes:
     """One ready-to-send OK frame carrying per-shard stats as JSON.
 
@@ -653,7 +653,7 @@ def encode_stats_frame(
 
 
 def encode_not_owner_frame(
-    shard_id: int, epoch: int, owner: str = "", request_id: int | None = None
+    shard_id: int, epoch: int, owner: str = "", *, request_id: int
 ) -> bytes:
     """One ready-to-send ``ST_NOT_OWNER`` redirect frame."""
     fields = _not_owner_fields(shard_id, epoch, owner)
@@ -668,7 +668,8 @@ def encode_handoff_frame(
     epoch: int,
     block: bytes,
     client: str = "anon",
-    request_id: int | None = None,
+    *,
+    request_id: int,
 ) -> bytes:
     """One ready-to-send ``OP_HANDOFF`` request frame.
 
@@ -708,16 +709,23 @@ def encode_handoff_frame(
     return bytes(out)
 
 
-def decode_response(payload) -> Response:
-    """Decode a v1 response payload (answers, stats, or an error)."""
-    return _decode_response_body(_Cursor(payload))
-
-
 def decode_response_envelope(payload) -> tuple[int | None, Response]:
-    """Decode a response of either generation; ``(correlation_id,
-    response)`` with a ``None`` id for v1 payloads."""
+    """Decode a reply payload; ``(correlation_id, response)``.
+
+    The id is ``None`` only for the connection-level ``ST_PROTOCOL``
+    error (the server could not read the request's id and is dropping
+    the connection); any other id-less reply raises
+    :class:`ProtocolError`.
+    """
     cursor = _Cursor(payload)
-    return _take_envelope(cursor, "response"), _decode_response_body(cursor)
+    if cursor.peek_u8() == FRAME_V2:
+        return _take_envelope(cursor, "response"), _decode_response_body(cursor)
+    response = _decode_response_body(cursor)
+    if response.status != ST_PROTOCOL:
+        raise ProtocolError(
+            f"reply with status {response.status} carries no correlation id"
+        )
+    return None, response
 
 
 def _decode_response_body(cursor: _Cursor) -> Response:

@@ -1,10 +1,11 @@
 """Configuration bundles for the membership gateway and its adversary.
 
 One frozen dataclass holds every deployment knob -- shard geometry,
-routing mode, admission limits, the saturation threshold -- so an
-experiment or demo can describe a whole service in one literal and
-rebuild it with ``MembershipGateway.from_config`` (identically, provided
-any keyed modes pin their keys; unpinned keys are drawn fresh per build).
+routing mode, admission limits, the rotation policy, coalescing and the
+server's pipeline depth -- so an experiment or demo can describe a whole
+service in one literal and rebuild it with
+``MembershipGateway.from_config`` (identically, provided any keyed modes
+pin their keys; unpinned keys are drawn fresh per build).
 
 :class:`AttackBudgetConfig` is the adversary-side counterpart: the
 resource bounds of one attack campaign (total trials, request rate,
@@ -33,11 +34,11 @@ class ServiceConfig:
     shard_m, shard_k:
         Geometry of each shard's Bloom filter.
     rotation_threshold:
-        Legacy knob: fill ratio at which a shard is retired and a fresh
-        filter swapped in (the paper's recycled-filter countermeasure).
-        Maps to :class:`~repro.service.lifecycle.FillThresholdPolicy`
-        unchanged; ``None`` disables rotation (unless
-        ``rotation_policy`` is set).
+        Fill ratio at which a shard is retired and a fresh filter
+        swapped in (the paper's recycled-filter countermeasure): the
+        short spelling of ``rotation_policy="fill:<threshold>"``, built
+        as that :class:`~repro.service.lifecycle.FillThresholdPolicy`.
+        ``None`` disables rotation (unless ``rotation_policy`` is set).
     rotation_policy:
         Shard lifecycle policy spec (see :func:`~repro.service.
         lifecycle.parse_policy`): leaf rules (``"fill:0.5"``,
@@ -49,7 +50,7 @@ class ServiceConfig:
         negation.  Malformed specs raise
         :class:`~repro.exceptions.ConfigError` at config build time.
         Wins over ``rotation_threshold`` when both are set; ``None``
-        falls back to the legacy knob.
+        falls back to it.
     rate_limit:
         Per-client admitted operations per second; ``None`` means
         unlimited.
@@ -94,9 +95,8 @@ class ServiceConfig:
         a non-zero window requires a non-zero max batch.
     pipeline_depth:
         Requests a single server connection may have in flight at once
-        (codec v2 correlation-id pipelining).  0 (default) dispatches
-        serially, the legacy behaviour; v2 frames still get their ids
-        echoed back.
+        (correlation-id pipelining, see :mod:`repro.service.server`); at
+        least 1, and 1 serves each connection serially.
     """
 
     shards: int = 4
@@ -114,7 +114,7 @@ class ServiceConfig:
     backend: str = "local"
     coalesce_window_us: int = 0
     coalesce_max_batch: int = 0
-    pipeline_depth: int = 0
+    pipeline_depth: int = 32
 
     def __post_init__(self) -> None:
         if self.backend not in ("local", "process"):
@@ -148,9 +148,11 @@ class ServiceConfig:
             raise ParameterError("rate_limit must be positive (or None)")
         if self.burst <= 0:
             raise ParameterError("burst must be positive")
-        for name in ("coalesce_window_us", "coalesce_max_batch", "pipeline_depth"):
+        for name in ("coalesce_window_us", "coalesce_max_batch"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative")
+        if self.pipeline_depth < 1:
+            raise ParameterError("pipeline_depth must be at least 1")
         if self.coalesce_window_us > 0 and self.coalesce_max_batch == 0:
             raise ParameterError(
                 "coalesce_window_us needs coalesce_max_batch > 0"

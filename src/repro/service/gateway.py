@@ -51,11 +51,7 @@ from repro.core.bloom import BloomFilter
 from repro.core.interfaces import MembershipFilter
 from repro.countermeasures.keyed import KeyedBloomFilter, generate_key
 from repro.exceptions import NotOwner, ParameterError
-from repro.service.admission import (
-    ClientRateLimiter,
-    RateLimited,
-    SaturationGuard,
-)
+from repro.service.admission import ClientRateLimiter, RateLimited
 from repro.service.backends import LocalBackend, ProcessPoolBackend, ShardBackend, ShardState
 from repro.service.cluster.ring import (
     HashShardPicker,
@@ -70,7 +66,6 @@ from repro.service.lifecycle import (
     RotationPolicy,
     ShardLifecycleState,
     parse_policy,
-    policy_from_guard,
 )
 from repro.service.telemetry import (
     CoalesceTelemetry,
@@ -126,15 +121,11 @@ class MembershipGateway:
         backend's count wins).
     picker:
         Shard router; defaults to the (attackable) public
-        :class:`~repro.service.sharding.HashShardPicker`.
-    guard:
-        Legacy saturation guard; mapped onto the policy layer via
-        :func:`~repro.service.lifecycle.policy_from_guard` when no
-        explicit ``policy`` is given.
+        :class:`~repro.service.cluster.ring.HashShardPicker`.
     policy:
-        Shard rotation policy (see :mod:`repro.service.lifecycle`);
-        wins over ``guard``.  ``None`` (with no guard) disables
-        rotation.
+        Shard rotation policy (see :mod:`repro.service.lifecycle`),
+        e.g. ``FillThresholdPolicy(0.5)`` for the saturation rule;
+        ``None`` disables rotation.
     limiter:
         Per-client admission; defaults to unlimited.
     clock:
@@ -170,7 +161,6 @@ class MembershipGateway:
         filter_factory: Callable[[], MembershipFilter] | None = None,
         shards: int = 4,
         picker: ShardPicker | None = None,
-        guard: SaturationGuard | None = None,
         limiter: ClientRateLimiter | None = None,
         clock: Callable[[], float] = time.perf_counter,
         backend: ShardBackend | None = None,
@@ -230,9 +220,6 @@ class MembershipGateway:
         self.name = name
         self.ownership = ownership
         self.picker = picker or HashShardPicker()
-        self.guard = guard
-        if policy is None and guard is not None:
-            policy = policy_from_guard(guard)
         self.policy = policy
         self.limiter = limiter or ClientRateLimiter(None)
         self._clock = clock
@@ -284,21 +271,18 @@ class MembershipGateway:
             picker = KeyedShardPicker(config.routing_key)
         else:
             picker = HashShardPicker()
-        # The lifecycle knob wins; the legacy rotation_threshold still
-        # maps to the saturation-guard behaviour (FillThresholdPolicy).
+        # The policy spec wins; rotation_threshold is the short spelling
+        # of fill:<threshold>.
         policy: RotationPolicy | None = None
-        guard = None
         if config.rotation_policy is not None:
             policy = parse_policy(config.rotation_policy)
         elif config.rotation_threshold is not None:
-            guard = SaturationGuard(config.rotation_threshold)
             policy = FillThresholdPolicy(config.rotation_threshold)
         limiter = ClientRateLimiter(config.rate_limit, config.burst)
         return cls(
             factory,
             shards=config.shards,
             picker=picker,
-            guard=guard,
             limiter=limiter,
             backend=backend,
             policy=policy,
@@ -682,7 +666,7 @@ class MembershipGateway:
                 telemetry.positives += positives
                 telemetry.query_latency.record(elapsed)
                 self.lifecycle[slot].note_queries(len(items), positives)
-            # Unlike the fill-only guard, lifecycle policies react to
+            # Unlike a fill-only rule, lifecycle policies react to
             # the query stream too (positive-rate spikes, op age), so
             # the decision runs on both paths.  Answers were computed
             # before any swap, so this batch's reply is unaffected.

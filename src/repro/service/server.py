@@ -6,22 +6,21 @@ and hit the same admission control, shard routing and telemetry as
 in-process callers -- which is exactly the setting the paper's
 adversaries assume (a query interface, not an object reference).
 
-Connections are *pipelined*: a v2 frame (codec envelope with a
-correlation id) is dispatched as its own task and the reply -- tagged
-with the same id -- goes out whenever it is ready, so one connection can
-keep up to ``pipeline_depth`` requests in flight and replies may arrive
-out of order.  Replies are write-coalesced (buffered, one ``drain()``
-per flush).  A v1 frame (no id) is served strictly serially, exactly
-the legacy read/dispatch/reply/drain loop, so old clients see
-byte-identical behaviour; the two generations may interleave freely on
-one connection.
+Connections are *pipelined*: every request frame carries a correlation
+id, is dispatched as its own task, and its reply -- tagged with the same
+id -- goes out whenever it is ready, so one connection can keep up to
+``pipeline_depth`` requests in flight and replies may arrive out of
+order (a depth of 1 serves each connection strictly in turn).  Replies
+are write-coalesced (buffered, one ``drain()`` per flush).
 
 Error discipline mirrors the gateway's: retryable admission pushback
 becomes a ``ST_RATE_LIMITED`` response, permanent misuse (over-burst
 batches) becomes ``ST_INVALID``, and protocol violations get a
 best-effort ``ST_PROTOCOL`` reply before the connection is dropped --
-a client sending garbage forfeits the stream, not the server.  Reusing
-a correlation id while it is still in flight is such a violation: the
+a client sending garbage forfeits the stream, not the server.  A frame
+the server cannot parse, an id-less one included, gets the codec's one
+id-less frame: the connection-level ``ST_PROTOCOL`` error.  Reusing a
+correlation id while it is still in flight is also a violation: the
 reply channel for that id is ambiguous, so the connection is forfeit.
 """
 
@@ -67,10 +66,8 @@ class MembershipServer:
         Bind address; port 0 picks an ephemeral port (read it back from
         :attr:`address` after :meth:`start`).
     pipeline_depth:
-        How many v2 (correlated) requests one connection may have in
-        flight concurrently.  0 dispatches everything serially -- v2
-        frames still get their ids echoed, but no overlap happens; v1
-        frames are always serial regardless.
+        How many requests one connection may have in flight
+        concurrently (at least 1; 1 serves each connection serially).
     """
 
     def __init__(
@@ -80,8 +77,8 @@ class MembershipServer:
         port: int = 0,
         pipeline_depth: int = 32,
     ) -> None:
-        if pipeline_depth < 0:
-            raise ParameterError("pipeline_depth must be non-negative")
+        if pipeline_depth < 1:
+            raise ParameterError("pipeline_depth must be at least 1")
         self.gateway = gateway
         self.pipeline_depth = pipeline_depth
         self._host = host
@@ -146,11 +143,7 @@ class MembershipServer:
         default_client = f"{peer[0]}:{peer[1]}" if peer else "tcp"
         replies = BufferedFrameWriter(writer)
         inflight: dict[int, asyncio.Task] = {}
-        depth = (
-            asyncio.Semaphore(self.pipeline_depth)
-            if self.pipeline_depth > 0
-            else None
-        )
+        depth = asyncio.Semaphore(self.pipeline_depth)
         graceful = False
         try:
             while True:
@@ -169,13 +162,6 @@ class MembershipServer:
                     self.protocol_errors += 1
                     await self._try_reply(writer, encode_error_frame(ST_PROTOCOL, str(exc)))
                     break
-                if request_id is None:
-                    # v1: the legacy strictly-serial request/reply loop.
-                    # _dispatch returns a complete frame assembled in one
-                    # buffer; it goes to the transport without re-framing.
-                    writer.write(await self._dispatch(request, default_client, None))
-                    await writer.drain()
-                    continue
                 if request_id in inflight:
                     self.protocol_errors += 1
                     await self._try_reply(
@@ -187,15 +173,12 @@ class MembershipServer:
                         ),
                     )
                     break
-                if depth is None:
-                    replies.send(await self._dispatch(request, default_client, request_id))
-                    continue
                 # Backpressure: the read loop stalls (and so, via TCP,
                 # does the sender) once pipeline_depth dispatches are in
                 # flight, instead of buffering unboundedly.
                 await depth.acquire()
                 inflight[request_id] = asyncio.get_running_loop().create_task(
-                    self._serve_pipelined(
+                    self._serve(
                         request, default_client, request_id, replies, inflight, depth
                     )
                 )
@@ -219,7 +202,7 @@ class MembershipServer:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass  # a second cancel can land while the socket drains
 
-    async def _serve_pipelined(
+    async def _serve(
         self,
         request: Request,
         default_client: str,
@@ -228,7 +211,7 @@ class MembershipServer:
         inflight: dict[int, asyncio.Task],
         depth: asyncio.Semaphore,
     ) -> None:
-        """One in-flight v2 request: dispatch, then queue the tagged reply."""
+        """One in-flight request: dispatch, then queue the tagged reply."""
         try:
             replies.send(await self._dispatch(request, default_client, request_id))
         finally:
@@ -245,10 +228,10 @@ class MembershipServer:
             pass
 
     async def _dispatch(
-        self, request: Request, default_client: str, request_id: int | None
+        self, request: Request, default_client: str, request_id: int
     ) -> bytes:
         """Run one decoded request against the gateway; returns a frame
-        tagged with ``request_id`` (or a bare v1 frame when it is None)."""
+        tagged with ``request_id``."""
         client = request.client or default_client
         try:
             if request.op in (OP_INSERT, OP_INSERT_BATCH):

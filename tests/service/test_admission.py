@@ -1,4 +1,6 @@
-"""Admission control: token buckets, per-client limiting, saturation guard."""
+"""Admission control: token buckets, per-client limiting, and the
+saturation guard (the fill-threshold rotation policy reading shard state
+through :func:`filter_state`)."""
 
 from __future__ import annotations
 
@@ -10,9 +12,10 @@ from repro.exceptions import ParameterError
 from repro.service.admission import (
     ClientRateLimiter,
     RateLimited,
-    SaturationGuard,
     TokenBucket,
+    filter_state,
 )
+from repro.service.lifecycle import FillThresholdPolicy, ShardObservation
 
 
 class FakeClock:
@@ -77,25 +80,36 @@ def test_rate_limited_exception_carries_client():
     assert "mallory" in str(err)
 
 
+def saturated(threshold: float, filt: object) -> bool:
+    """The saturation guard as served: a backend's ``filter_state``
+    probe feeding a :class:`FillThresholdPolicy`."""
+    weight, fill = filter_state(filt)
+    observation = ShardObservation(
+        shard_id=0, hamming_weight=weight, fill_ratio=fill, insertions=0,
+        age_ops=0, inserts=0, queries=0, positives=0, restored=False,
+        ops_since_restore=0, op_epoch=0,
+    )
+    return FillThresholdPolicy(threshold).evaluate(observation).rotate
+
+
 def test_saturation_guard_on_bloom_filter():
-    guard = SaturationGuard(threshold=0.5)
     target = BloomFilter(64, 2)
-    assert guard.should_rotate(target) is False
+    assert saturated(0.5, target) is False
     target.bits.set_indexes(range(32))
     target._weight = 32
-    assert guard.should_rotate(target) is True  # exactly at threshold
+    assert saturated(0.5, target) is True  # exactly at threshold
 
 
 def test_saturation_guard_handles_method_and_missing_fill():
-    guard = SaturationGuard(threshold=0.25)
     vec = BitVector(16)  # fill_ratio is a method here
-    assert guard.should_rotate(vec) is False
+    assert saturated(0.25, vec) is False
     vec.set_indexes(range(4))
-    assert guard.should_rotate(vec) is True
-    assert guard.should_rotate(object()) is False  # no fill_ratio: never rotate
+    assert saturated(0.25, vec) is True
+    assert filter_state(vec) == (4, 0.25)
+    assert saturated(0.25, object()) is False  # no fill_ratio: never rotate
 
 
 def test_saturation_guard_validation():
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ParameterError):
-            SaturationGuard(bad)
+            FillThresholdPolicy(bad)

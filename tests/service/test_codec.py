@@ -15,6 +15,7 @@ import pytest
 
 from repro.exceptions import ProtocolError
 from repro.service.codec import (
+    FRAME_V2,
     MAX_FRAME,
     OP_INSERT,
     OP_INSERT_BATCH,
@@ -25,8 +26,10 @@ from repro.service.codec import (
     ST_INVALID,
     ST_OK,
     ST_RATE_LIMITED,
-    decode_request,
-    decode_response,
+    Request,
+    Response,
+    decode_request_envelope,
+    decode_response_envelope,
     encode_answers,
     encode_error,
     encode_frame,
@@ -56,6 +59,25 @@ def read_one(data: bytes) -> bytes | None:
     return read_frames(data)[0]
 
 
+def enveloped(body: bytes, rid: int = 7) -> bytes:
+    """A payload body behind the envelope (marker + correlation id)."""
+    return bytes([FRAME_V2]) + rid.to_bytes(4, "big") + body
+
+
+def request_of(body: bytes) -> Request:
+    """Decode a request body through the enveloped decoder."""
+    rid, request = decode_request_envelope(enveloped(body))
+    assert rid == 7
+    return request
+
+
+def response_of(body: bytes) -> Response:
+    """Decode a reply body through the enveloped decoder."""
+    rid, response = decode_response_envelope(enveloped(body))
+    assert rid == 7
+    return response
+
+
 # ----------------------------------------------------------------------
 # Round trips
 # ----------------------------------------------------------------------
@@ -64,7 +86,7 @@ def read_one(data: bytes) -> bytes | None:
 def test_batch_request_round_trip(op):
     items: list[str | bytes] = ["http://a.example", b"\x00raw\xff", "unicode-é中"]
     payload = encode_request(op, items, client="mallory")
-    request = decode_request(payload)
+    request = request_of(payload)
     assert request.op == op
     assert request.client == "mallory"
     assert request.items == items  # str stays str, bytes stays bytes
@@ -72,33 +94,33 @@ def test_batch_request_round_trip(op):
 
 @pytest.mark.parametrize("op", [OP_INSERT, OP_QUERY])
 def test_single_request_round_trip(op):
-    request = decode_request(encode_request(op, ["one"], client=""))
+    request = request_of(encode_request(op, ["one"], client=""))
     assert request.items == ["one"]
     assert request.client == ""
 
 
 def test_stats_request_round_trip():
-    request = decode_request(encode_request(OP_STATS))
+    request = request_of(encode_request(OP_STATS))
     assert request.op == OP_STATS
     assert request.items == []
 
 
 def test_empty_batch_round_trip():
-    request = decode_request(encode_request(OP_QUERY_BATCH, []))
+    request = request_of(encode_request(OP_QUERY_BATCH, []))
     assert request.items == []
 
 
 def test_answers_round_trip():
     answers = [True, False, True, True, False, False, True, False, True]
-    response = decode_response(encode_answers(answers))
+    response = response_of(encode_answers(answers))
     assert response.status == ST_OK
     assert response.answers == answers
-    assert decode_response(encode_answers([])).answers == []
+    assert response_of(encode_answers([])).answers == []
 
 
 @pytest.mark.parametrize("status", [ST_RATE_LIMITED, ST_INVALID, ST_ERROR])
 def test_error_round_trip(status):
-    response = decode_response(encode_error(status, "client 'x' exceeded"))
+    response = response_of(encode_error(status, "client 'x' exceeded"))
     assert response.status == status
     assert response.message == "client 'x' exceeded"
 
@@ -108,7 +130,7 @@ def test_stats_round_trip():
     telemetry.inserts = 42
     telemetry.query_latency.record(0.001)
     snapshot = telemetry.snapshot(weight=17, fill_ratio=0.25)
-    response = decode_response(encode_stats([snapshot]))
+    response = response_of(encode_stats([snapshot]))
     assert response.status == ST_OK
     assert response.stats == [
         {
@@ -181,16 +203,16 @@ def test_encode_frame_bounds():
 
 def test_garbage_payload_raises():
     with pytest.raises(ProtocolError):
-        decode_request(b"\xde\xad\xbe\xef" * 8)
+        request_of(b"\xde\xad\xbe\xef" * 8)
     with pytest.raises(ProtocolError):
-        decode_response(b"\xde\xad\xbe\xef" * 8)
+        response_of(b"\xde\xad\xbe\xef" * 8)
 
 
 def test_unknown_opcode_and_status():
     with pytest.raises(ProtocolError, match="unknown opcode"):
-        decode_request(bytes([99]) + b"\x00\x00" + b"\x00\x00\x00\x00")
+        request_of(bytes([99]) + b"\x00\x00" + b"\x00\x00\x00\x00")
     with pytest.raises(ProtocolError, match="unknown status"):
-        decode_response(bytes([99]))
+        response_of(bytes([99]))
 
 
 def test_item_count_larger_than_payload_rejected():
@@ -200,21 +222,21 @@ def test_item_count_larger_than_payload_rejected():
         bytes([OP_QUERY_BATCH]) + b"\x00\x00" + (0x80000000).to_bytes(4, "big")
     )
     with pytest.raises(ProtocolError, match="item count"):
-        decode_request(payload)
+        request_of(payload)
 
 
 def test_payload_ending_inside_item_rejected():
     good = encode_request(OP_QUERY_BATCH, ["abcdefgh"])
     with pytest.raises(ProtocolError, match="ends inside"):
-        decode_request(good[:-3])
+        request_of(good[:-3])
 
 
 def test_trailing_bytes_rejected():
     good = encode_request(OP_QUERY_BATCH, ["abc"])
     with pytest.raises(ProtocolError, match="trailing"):
-        decode_request(good + b"\x00")
+        request_of(good + b"\x00")
     with pytest.raises(ProtocolError, match="trailing"):
-        decode_response(encode_answers([True]) + b"junk")
+        response_of(encode_answers([True]) + b"junk")
 
 
 def test_bad_item_flag_rejected():
@@ -223,7 +245,7 @@ def test_bad_item_flag_rejected():
     flag_offset = 1 + 2 + len(b"anon") + 4
     good[flag_offset] = 7
     with pytest.raises(ProtocolError, match="item flag"):
-        decode_request(bytes(good))
+        request_of(bytes(good))
 
 
 def test_non_utf8_text_item_rejected():
@@ -231,7 +253,7 @@ def test_non_utf8_text_item_rejected():
     raw[-1] = 0xFF  # corrupt the text item's bytes
     raw[-2] = 0xFE
     with pytest.raises(ProtocolError, match="not valid UTF-8"):
-        decode_request(bytes(raw))
+        request_of(bytes(raw))
 
 
 def test_single_op_item_count_enforced():
@@ -241,17 +263,17 @@ def test_single_op_item_count_enforced():
     batch = encode_request(OP_INSERT_BATCH, ["a", "b"])
     forged = bytes([OP_INSERT]) + batch[1:]
     with pytest.raises(ProtocolError, match="exactly one item"):
-        decode_request(forged)
+        request_of(forged)
 
 
 def test_stats_with_items_rejected():
     batch = encode_request(OP_QUERY_BATCH, ["a"])
     forged = bytes([OP_STATS]) + batch[1:]
     with pytest.raises(ProtocolError, match="no items"):
-        decode_request(forged)
+        request_of(forged)
 
 
 def test_stats_response_garbage_json_rejected():
     forged = bytes([ST_OK, 0xFF]) + (4).to_bytes(4, "big") + b"nope"
     with pytest.raises(ProtocolError, match="JSON"):
-        decode_response(forged)
+        response_of(forged)

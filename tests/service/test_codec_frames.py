@@ -1,7 +1,7 @@
 """Zero-copy codec path: frame-encoder parity and hostile payloads.
 
 The single-buffer ``*_frame`` encoders must emit byte-identical frames
-to ``encode_frame(encode_*(...))``, decoding must accept zero-copy
+to ``encode_frame(envelope + encode_*(...))``, decoding must accept zero-copy
 memoryview input, and every malformed shape -- truncated length prefix,
 oversized declared lengths, mid-frame EOF, trailing garbage -- must be
 rejected with :class:`ProtocolError` before any allocation or partial
@@ -26,11 +26,12 @@ from repro.service.codec import (
     ST_ERROR,
     ST_NOT_OWNER,
     ST_OK,
+    ST_PROTOCOL,
     ST_RATE_LIMITED,
     Redirect,
-    decode_request,
+    Request,
+    Response,
     decode_request_envelope,
-    decode_response,
     decode_response_envelope,
     encode_answers,
     encode_answers_frame,
@@ -47,6 +48,21 @@ from repro.service.codec import (
     read_frame,
 )
 from repro.service.telemetry import ShardSnapshot
+
+
+def enveloped(body: bytes, rid: int = 7) -> bytes:
+    """A payload body behind the envelope (marker + correlation id)."""
+    return bytes([FRAME_V2]) + rid.to_bytes(4, "big") + body
+
+
+def request_of(body: bytes) -> Request:
+    """Decode a request body through the enveloped decoder."""
+    return decode_request_envelope(enveloped(body))[1]
+
+
+def response_of(body: bytes) -> Response:
+    """Decode a reply body through the enveloped decoder."""
+    return decode_response_envelope(enveloped(body))[1]
 
 
 def _snapshots() -> list[ShardSnapshot]:
@@ -78,46 +94,62 @@ def _snapshots() -> list[ShardSnapshot]:
     ],
 )
 def test_request_frame_parity(items, client):
-    assert encode_request_frame(OP_INSERT_BATCH, items, client) == encode_frame(
-        encode_request(OP_INSERT_BATCH, items, client)
-    )
+    assert encode_request_frame(
+        OP_INSERT_BATCH, items, client, request_id=7
+    ) == encode_frame(enveloped(encode_request(OP_INSERT_BATCH, items, client)))
 
 
 def test_single_op_frame_parity():
-    assert encode_request_frame(OP_QUERY, ["only"], "c") == encode_frame(
-        encode_request(OP_QUERY, ["only"], "c")
+    assert encode_request_frame(OP_QUERY, ["only"], "c", request_id=7) == encode_frame(
+        enveloped(encode_request(OP_QUERY, ["only"], "c"))
     )
 
 
 @pytest.mark.parametrize("answers", [[True], [False] * 9, [True, False] * 50, []])
 def test_answers_frame_parity(answers):
     # An empty answer list is a legal frame (count 0, no bitmap).
-    assert encode_answers_frame(answers) == encode_frame(encode_answers(answers))
+    assert encode_answers_frame(answers, request_id=7) == encode_frame(
+        enveloped(encode_answers(answers))
+    )
 
 
 def test_error_frame_parity():
     message = "rate limited — back off"
-    assert encode_error_frame(ST_RATE_LIMITED, message) == encode_frame(
-        encode_error(ST_RATE_LIMITED, message)
+    assert encode_error_frame(ST_RATE_LIMITED, message, request_id=7) == encode_frame(
+        enveloped(encode_error(ST_RATE_LIMITED, message))
+    )
+    # The connection-level protocol error is the one id-less frame.
+    assert encode_error_frame(ST_PROTOCOL, message) == encode_frame(
+        encode_error(ST_PROTOCOL, message)
     )
 
 
 def test_error_frame_truncates_long_messages_identically():
     message = "é" * 40_000  # 2 bytes each, over the u16 cap
-    assert encode_error_frame(ST_ERROR, message) == encode_frame(
-        encode_error(ST_ERROR, message)
+    assert encode_error_frame(ST_ERROR, message, request_id=7) == encode_frame(
+        enveloped(encode_error(ST_ERROR, message))
     )
 
 
 def test_stats_frame_parity():
-    assert encode_stats_frame(_snapshots()) == encode_frame(encode_stats(_snapshots()))
+    assert encode_stats_frame(_snapshots(), request_id=7) == encode_frame(
+        enveloped(encode_stats(_snapshots()))
+    )
 
 
 def test_frame_encoders_reject_bad_status_and_oversized():
     with pytest.raises(ProtocolError):
-        encode_error_frame(ST_OK, "not an error status")
+        encode_error_frame(ST_OK, "not an error status", request_id=1)
     with pytest.raises(ProtocolError):
-        encode_request_frame(OP_INSERT_BATCH, [b"x" * (MAX_FRAME + 1)], "c")
+        encode_request_frame(
+            OP_INSERT_BATCH, [b"x" * (MAX_FRAME + 1)], "c", request_id=1
+        )
+
+
+def test_only_protocol_errors_travel_without_an_id():
+    for status in (ST_RATE_LIMITED, ST_ERROR):
+        with pytest.raises(ProtocolError, match="must answer a correlation id"):
+            encode_error_frame(status, "needs an id")
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +157,11 @@ def test_frame_encoders_reject_bad_status_and_oversized():
 # ----------------------------------------------------------------------
 
 def test_decode_request_from_memoryview():
-    frame = encode_request_frame(OP_INSERT_BATCH, ["t", b"\x01\x02"], "mv-client")
-    request = decode_request(memoryview(frame)[4:])
+    frame = encode_request_frame(
+        OP_INSERT_BATCH, ["t", b"\x01\x02"], "mv-client", request_id=3
+    )
+    rid, request = decode_request_envelope(memoryview(frame)[4:])
+    assert rid == 3
     assert request.client == "mv-client"
     assert request.items == ["t", b"\x01\x02"]
     # Binary items must be real bytes (copied out of the view), so they
@@ -135,13 +170,13 @@ def test_decode_request_from_memoryview():
 
 
 def test_decode_response_from_memoryview():
-    frame = encode_answers_frame([True, False, True])
-    response = decode_response(memoryview(frame)[4:])
-    assert response.status == ST_OK
+    frame = encode_answers_frame([True, False, True], request_id=4)
+    rid, response = decode_response_envelope(memoryview(frame)[4:])
+    assert rid == 4 and response.status == ST_OK
     assert response.answers == [True, False, True]
-    stats_frame = encode_stats_frame(_snapshots())
-    response = decode_response(memoryview(stats_frame)[4:])
-    assert response.stats[0]["shard_id"] == 0
+    stats_frame = encode_stats_frame(_snapshots(), request_id=5)
+    rid, response = decode_response_envelope(memoryview(stats_frame)[4:])
+    assert rid == 5 and response.stats[0]["shard_id"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +191,7 @@ def test_truncated_item_length_prefix_rejected():
     payload = encode_request(OP_INSERT_BATCH, [b"a" * 64, b"abcd"], "c")
     cut = payload[: -(4 + 2)]  # drop item bytes and half the u32 length
     with pytest.raises(ProtocolError, match="ends inside item length"):
-        decode_request(cut)
+        request_of(cut)
 
 
 def test_oversized_declared_item_length_rejected():
@@ -164,7 +199,7 @@ def test_oversized_declared_item_length_rejected():
     payload = bytearray(encode_request(OP_INSERT_BATCH, [b"abcd"], "c"))
     payload[-8:-4] = (2**31).to_bytes(4, "big")  # item length field
     with pytest.raises(ProtocolError, match="ends inside item bytes"):
-        decode_request(bytes(payload))
+        request_of(bytes(payload))
 
 
 def test_oversized_declared_item_count_rejected_before_allocation():
@@ -172,20 +207,20 @@ def test_oversized_declared_item_count_rejected_before_allocation():
     offset = 1 + 2 + 1  # opcode + client len + client "c"
     payload[offset : offset + 4] = (0xFFFFFFFF).to_bytes(4, "big")
     with pytest.raises(ProtocolError, match="item count"):
-        decode_request(bytes(payload))
+        request_of(bytes(payload))
 
 
 def test_oversized_declared_client_length_rejected():
     payload = bytearray(encode_request(OP_STATS, [], "c"))
     payload[1:3] = (0xFFFF).to_bytes(2, "big")
     with pytest.raises(ProtocolError, match="ends inside client id"):
-        decode_request(bytes(payload))
+        request_of(bytes(payload))
 
 
 def test_trailing_garbage_after_request_rejected():
     payload = encode_request(OP_INSERT_BATCH, [b"abcd"], "c") + b"\x00"
     with pytest.raises(ProtocolError, match="trailing"):
-        decode_request(payload)
+        request_of(payload)
 
 
 def test_trailing_garbage_after_response_rejected():
@@ -195,20 +230,20 @@ def test_trailing_garbage_after_response_rejected():
         encode_stats(_snapshots()) + b" ",
     ):
         with pytest.raises(ProtocolError, match="trailing"):
-            decode_response(payload)
+            response_of(payload)
 
 
 def test_answer_bitmap_short_read_rejected():
     payload = encode_answers([True] * 16)[:-1]
     with pytest.raises(ProtocolError, match="ends inside answer bitmap"):
-        decode_response(payload)
+        response_of(payload)
 
 
 def test_stats_declared_length_overrun_rejected():
     payload = bytearray(encode_stats(_snapshots()))
     payload[2:6] = (len(payload) * 2).to_bytes(4, "big")
     with pytest.raises(ProtocolError, match="ends inside stats JSON"):
-        decode_response(bytes(payload))
+        response_of(bytes(payload))
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +266,7 @@ def test_eof_mid_length_prefix():
 
 
 def test_eof_mid_payload():
-    frame = encode_request_frame(OP_INSERT_BATCH, [b"abcdefgh"], "c")
+    frame = encode_request_frame(OP_INSERT_BATCH, [b"abcdefgh"], "c", request_id=1)
 
     async def run():
         with pytest.raises(ProtocolError, match="truncated frame"):
@@ -257,21 +292,18 @@ def test_clean_eof_between_frames_is_none():
 
 
 # ----------------------------------------------------------------------
-# v2 envelopes: correlation ids on the wire
+# Envelopes: correlation ids on the wire
 # ----------------------------------------------------------------------
 
 def test_v2_request_round_trip_and_v1_parity():
-    v1 = encode_request_frame(OP_QUERY_BATCH, ["a", b"b"], "c")
-    v2 = encode_request_frame(OP_QUERY_BATCH, ["a", b"b"], "c", request_id=7)
-    # The v2 frame is the v1 frame plus a five-byte envelope: same body.
-    assert v2[9:] == v1[4:]
-    assert v2[4] == FRAME_V2
-    rid, request = decode_request_envelope(memoryview(v2)[4:])
+    body = encode_request(OP_QUERY_BATCH, ["a", b"b"], "c")
+    frame = encode_request_frame(OP_QUERY_BATCH, ["a", b"b"], "c", request_id=7)
+    # The frame is the payload-form body behind a five-byte envelope.
+    assert frame[9:] == body
+    assert frame[4] == FRAME_V2
+    rid, request = decode_request_envelope(memoryview(frame)[4:])
     assert rid == 7
     assert request.items == ["a", b"b"]
-    # The envelope decoder passes v1 payloads through with a None id.
-    rid, request = decode_request_envelope(v1[4:])
-    assert rid is None and request.client == "c"
 
 
 def test_v2_response_round_trip_all_shapes():
@@ -285,8 +317,12 @@ def test_v2_response_round_trip_all_shapes():
     ]:
         rid, response = decode_response_envelope(frame[4:])
         assert rid is not None and check(response)
-    rid, response = decode_response_envelope(encode_answers_frame([True])[4:])
-    assert rid is None and response.answers == [True]
+    # The connection-level protocol error decodes with no id.
+    rid, response = decode_response_envelope(
+        encode_error_frame(ST_PROTOCOL, "bad frame")[4:]
+    )
+    assert rid is None and response.status == ST_PROTOCOL
+    assert response.message == "bad frame"
 
 
 def test_stats_frame_extra_entry_rides_without_shard_id():
@@ -324,13 +360,22 @@ def test_envelope_with_empty_body_rejected():
         decode_response_envelope(bytes([FRAME_V2]) + (5).to_bytes(4, "big"))
 
 
-def test_v1_decoders_reject_v2_frames_as_unknown():
-    v2_request = encode_request_frame(OP_QUERY, ["x"], "c", request_id=1)[4:]
-    with pytest.raises(ProtocolError, match="unknown opcode"):
-        decode_request(v2_request)
-    v2_reply = encode_answers_frame([True], request_id=1)[4:]
-    with pytest.raises(ProtocolError, match="unknown status"):
-        decode_response(v2_reply)
+def test_id_less_payloads_rejected():
+    # A request body without the envelope -- the shape an old client
+    # would send -- is rejected, not served.
+    with pytest.raises(ProtocolError, match="envelope marker"):
+        decode_request_envelope(encode_request(OP_QUERY, ["x"], "c"))
+    with pytest.raises(ProtocolError, match="envelope marker"):
+        decode_request_envelope(b"")
+    # Every id-less reply except the connection-level protocol error.
+    for body in (
+        encode_answers([True]),
+        encode_error(ST_RATE_LIMITED, "slow down"),
+        encode_stats(_snapshots()),
+        encode_not_owner(3, 5, "beta"),
+    ):
+        with pytest.raises(ProtocolError, match="carries no correlation id"):
+            decode_response_envelope(body)
 
 
 def test_trailing_garbage_after_v2_payload_rejected():
@@ -357,24 +402,22 @@ def test_handoff_frame_round_trip_both_generations():
     assert (request.shard_id, request.epoch) == (7, 3)
     assert request.block == _BLOCK and request.items == []
     assert request.client == "mover"
-    # Without a correlation id the encoder emits a bare v1 payload that
-    # the legacy decoder accepts.
-    bare = encode_handoff_frame(7, 3, _BLOCK)[4:]
-    assert decode_request(bare).block == _BLOCK
     # Bytes-likes are accepted and normalised.
-    assert encode_handoff_frame(7, 3, bytearray(_BLOCK)) == encode_frame(bare)
+    assert encode_handoff_frame(7, 3, bytearray(_BLOCK), request_id=1) == (
+        encode_handoff_frame(7, 3, _BLOCK, request_id=1)
+    )
 
 
 def test_handoff_frame_rejects_bad_fields_at_encode_time():
     with pytest.raises(ProtocolError, match="u32 range"):
-        encode_handoff_frame(1 << 32, 1, _BLOCK)
+        encode_handoff_frame(1 << 32, 1, _BLOCK, request_id=1)
     for epoch in (0, -1, 1 << 64):
         with pytest.raises(ProtocolError, match="positive u64"):
-            encode_handoff_frame(0, epoch, _BLOCK)
+            encode_handoff_frame(0, epoch, _BLOCK, request_id=1)
     with pytest.raises(ProtocolError, match="empty shard block"):
-        encode_handoff_frame(0, 1, b"")
+        encode_handoff_frame(0, 1, b"", request_id=1)
     with pytest.raises(ProtocolError, match="must be bytes"):
-        encode_handoff_frame(0, 1, "not-bytes")
+        encode_handoff_frame(0, 1, "not-bytes", request_id=1)
 
 
 def test_handoff_truncated_epoch_rejected():
@@ -419,14 +462,12 @@ def test_not_owner_frame_round_trip_and_payload_parity():
     assert rid == 2 and response.status == ST_NOT_OWNER
     assert response.redirect == Redirect(shard_id=3, epoch=5, owner="beta")
     assert response.answers is None and response.message is None
-    # The v2 frame's body matches the payload encoder byte for byte,
-    # and the v1 frame is exactly the framed payload.
-    assert frame[9:] == encode_not_owner(3, 5, "beta")
-    assert encode_not_owner_frame(3, 5, "beta") == encode_frame(
-        encode_not_owner(3, 5, "beta")
-    )
+    # The frame's body matches the payload encoder byte for byte.
+    assert frame == encode_frame(enveloped(encode_not_owner(3, 5, "beta"), 2))
     # Epoch 0 with no owner is the legal "no ownership view" sentinel.
-    _, bare = decode_response_envelope(encode_not_owner_frame(3, 0)[4:])
+    _, bare = decode_response_envelope(
+        encode_not_owner_frame(3, 0, request_id=1)[4:]
+    )
     assert bare.redirect == Redirect(shard_id=3, epoch=0, owner="")
 
 

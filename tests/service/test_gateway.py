@@ -10,11 +10,11 @@ from repro import accel
 from repro.core.bloom import BloomFilter
 from repro.countermeasures.keyed import KeyedBloomFilter
 from repro.exceptions import ParameterError
-from repro.service.admission import ClientRateLimiter, RateLimited, SaturationGuard
+from repro.service.admission import ClientRateLimiter, RateLimited
+from repro.service.cluster.ring import KeyedShardPicker
 from repro.service.config import ServiceConfig
 from repro.service.gateway import MembershipGateway
-from repro.service.lifecycle import parse_policy
-from repro.service.sharding import KeyedShardPicker
+from repro.service.lifecycle import FillThresholdPolicy, parse_policy
 from repro.urlgen.faker import UrlFactory
 
 URLS = UrlFactory(seed=0x6A7E).urls(200)
@@ -121,7 +121,7 @@ def test_empty_batch_is_noop():
 
 
 def test_saturation_guard_rotates_hot_shard():
-    gateway = make_gateway(guard=SaturationGuard(0.3))
+    gateway = make_gateway(policy=FillThresholdPolicy(0.3))
 
     async def scenario():
         # Hammer one shard's key space until its filter crosses 30% fill.
@@ -201,7 +201,7 @@ def test_from_config_builds_variants():
     plain = MembershipGateway.from_config(ServiceConfig(shards=2, shard_m=512))
     assert plain.shards == 2
     assert isinstance(plain.filters[0], BloomFilter)
-    assert plain.guard is not None
+    assert isinstance(plain.policy, FillThresholdPolicy)
 
     keyed = MembershipGateway.from_config(
         ServiceConfig(shards=2, keyed_routing=True, keyed_filters=True, rate_limit=10.0)
@@ -211,7 +211,7 @@ def test_from_config_builds_variants():
     assert keyed.limiter.rate == 10.0
 
     unguarded = MembershipGateway.from_config(ServiceConfig(rotation_threshold=None))
-    assert unguarded.guard is None
+    assert unguarded.policy is None
 
 
 def test_from_config_pinned_keys_rebuild_identically():

@@ -13,6 +13,7 @@ from repro.service.backends import LocalBackend
 from repro.service.client import MembershipClient
 from repro.service.codec import (
     FRAME_V2,
+    OP_INSERT_BATCH,
     OP_QUERY,
     OP_QUERY_BATCH,
     ST_OK,
@@ -20,6 +21,8 @@ from repro.service.codec import (
     decode_request_envelope,
     decode_response_envelope,
     encode_answers_frame,
+    encode_frame,
+    encode_request,
     encode_request_frame,
     read_frame,
 )
@@ -101,16 +104,27 @@ def test_pipelined_round_trip_matches_gateway():
 
 
 def test_pipelined_client_against_serial_server():
-    """pipeline_depth=0 still echoes correlation ids, just serially."""
+    """pipeline_depth=1 echoes correlation ids but serves one request
+    at a time: a fast request queues behind a stalled one."""
+    order: list[str] = []
 
     async def scenario(gateway, server, client):
         await client.insert_batch(URLS[:20], client="seed")
-        return await asyncio.gather(
-            *(client.query(url) for url in URLS[:30])
-        )
 
-    answers = serve(scenario, pipeline_depth=0, pipeline=4)
+        async def slow():
+            await client.query(SLOW)
+            order.append("slow")
+
+        slow_task = asyncio.ensure_future(slow())
+        await asyncio.sleep(0.01)  # the slow query is on the wire first
+        answers = await asyncio.gather(*(client.query(url) for url in URLS[:30]))
+        order.append("fast")
+        await slow_task
+        return answers
+
+    answers = serve(scenario, pipeline_depth=1, pipeline=4, backend_cls=SlowBackend)
     assert answers[:20] == [True] * 20
+    assert order == ["slow", "fast"]
 
 
 def test_out_of_order_replies_reach_the_right_callers():
@@ -171,27 +185,56 @@ def test_duplicate_inflight_correlation_id_forfeits_the_connection():
     assert eof is None  # the server hung up after the violation
 
 
-def test_v1_and_v2_interleave_on_one_connection():
-    async def scenario(gateway, server, reader, writer):
-        await gateway.insert_batch(URLS[:10], client="seed")
-        writer.write(encode_request_frame(OP_QUERY_BATCH, URLS[:4], request_id=9))
-        writer.write(encode_request_frame(OP_QUERY_BATCH, URLS[4:8]))  # v1
-        writer.write(encode_request_frame(OP_QUERY_BATCH, URLS[8:10], request_id=10))
-        await writer.drain()
-        replies = {}
-        for _ in range(3):
-            raw = await asyncio.wait_for(read_frame(reader), timeout=5.0)
-            rid, response = decode_response_envelope(raw)
-            replies[rid] = response
-        return replies
+def test_v1_request_frame_gets_connection_level_protocol_error():
+    """An id-less (v1-shaped) request is never served: it gets the
+    id-less ST_PROTOCOL reply and the connection is dropped, while other
+    connections keep serving."""
+    fresh = "http://never-inserted.example/"
 
-    replies = raw_serve(scenario)
-    # One bare v1 reply, two id-tagged v2 replies, all answered.
-    assert set(replies) == {None, 9, 10}
-    assert replies[None].answers == [True] * 4
-    assert replies[9].answers == [True] * 4
-    assert replies[10].answers == [True] * 2
-    assert all(r.status == ST_OK for r in replies.values())
+    async def scenario(gateway, server, reader, writer):
+        writer.write(encode_request_frame(OP_QUERY_BATCH, URLS[:4], request_id=9))
+        await writer.drain()
+        rid, served = decode_response_envelope(
+            await asyncio.wait_for(read_frame(reader), timeout=5.0)
+        )
+        writer.write(encode_frame(encode_request(OP_INSERT_BATCH, [fresh])))
+        await writer.drain()
+        no_id, refused = decode_response_envelope(
+            await asyncio.wait_for(read_frame(reader), timeout=5.0)
+        )
+        eof = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+        # Another connection is unaffected, and the insert never landed.
+        other = MembershipClient(*server.address, pipeline=2)
+        try:
+            still_absent = await other.query(fresh)
+        finally:
+            await other.aclose()
+        inserts = sum(s.inserts for s in gateway.snapshot())
+        return (rid, served), (no_id, refused), eof, still_absent, inserts, server
+
+    (rid, served), (no_id, refused), eof, still_absent, inserts, server = raw_serve(
+        scenario
+    )
+    assert rid == 9 and served.status == ST_OK
+    assert no_id is None and refused.status == ST_PROTOCOL
+    assert "envelope marker" in (refused.message or "")
+    assert eof is None  # dropped in bounded time, not left hanging
+    assert server.protocol_errors == 1
+    assert still_absent is False and inserts == 0
+
+
+def test_client_surfaces_the_servers_protocol_error_message():
+    async def scenario(gateway, server, client):
+        v1_frame = encode_frame(encode_request(OP_QUERY, [URLS[0]]))
+        with pytest.raises(ProtocolError, match="envelope marker"):
+            await client._send(lambda rid: v1_frame, "legacy")
+        # The dropped channel is replaced on the next request.
+        answer = await client.query(URLS[0])
+        return answer, server.protocol_errors, server.connections
+
+    answer, errors, connections = serve(scenario)
+    assert answer is False
+    assert (errors, connections) == (1, 2)
 
 
 def test_truncated_v2_header_is_a_protocol_error():

@@ -10,6 +10,7 @@ import pytest
 from repro.core.bloom import BloomFilter
 from repro.exceptions import ConfigError, ParameterError
 from repro.service.backends import ShardState
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import ServiceConfig
 from repro.service.gateway import MembershipGateway
 from repro.service.lifecycle import (
@@ -28,7 +29,6 @@ from repro.service.lifecycle import (
     TimeBasedRecyclingPolicy,
     parse_policy,
 )
-from repro.service.sharding import HashShardPicker
 from repro.service.snapshots import restore_gateway, snapshot_gateway
 from repro.urlgen.faker import UrlFactory
 

@@ -11,6 +11,7 @@ from repro.exceptions import ParameterError, ProtocolError
 from repro.service.admission import ClientRateLimiter, RateLimited
 from repro.service.client import MembershipClient
 from repro.service.codec import encode_frame
+from repro.service.config import ServiceConfig
 from repro.service.gateway import MembershipGateway
 from repro.service.server import MembershipServer
 from repro.urlgen.faker import UrlFactory
@@ -186,6 +187,18 @@ def test_client_refuses_use_after_close():
                 await client.query_batch(URLS[:2])
 
     asyncio.run(scenario())
+
+
+def test_pipeline_knobs_must_be_at_least_one():
+    # Depth 1 is the serial server; there is no "0 = legacy" mode left.
+    with pytest.raises(ParameterError, match="at least 1"):
+        MembershipServer(make_gateway(), pipeline_depth=0)
+    with pytest.raises(ParameterError, match="at least 1"):
+        MembershipClient("127.0.0.1", 1, pipeline=0)
+    with pytest.raises(ParameterError, match="at least 1"):
+        ServiceConfig(pipeline_depth=0)
+    assert ServiceConfig().pipeline_depth == 32
+    assert MembershipClient("127.0.0.1", 1).pipeline == 32
 
 
 def test_server_lifecycle_guards():

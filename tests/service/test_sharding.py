@@ -8,8 +8,7 @@ import pytest
 
 from repro import accel
 from repro.exceptions import ParameterError
-from repro.service.cluster.ring import ROUTE_BATCH
-from repro.service.sharding import HashShardPicker, KeyedShardPicker
+from repro.service.cluster.ring import ROUTE_BATCH, HashShardPicker, KeyedShardPicker
 from repro.urlgen.faker import UrlFactory
 
 URLS = UrlFactory(seed=0x5EED).urls(400)
